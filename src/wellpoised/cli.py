@@ -186,6 +186,8 @@ def _cmd_project(args) -> dict:
     else:
         constraints, n = _constraints(args)
         points = okounkov.equality_polytope_vertices(constraints, n)
+        if not points:
+            raise PreconditionError("the equality polytope is empty")
     if any(len(r) != len(points[0]) for r in rows):
         raise UsageError("projection rows must match the point dimension")
     body = okounkov.projected_body(points, rows)

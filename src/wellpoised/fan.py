@@ -23,6 +23,7 @@ from .polynomial import (
     is_disjointly_supported,
     total_degree,
     weight_vector,
+    weighted_degrees,
 )
 
 IntVector = tuple[int, ...]
@@ -145,9 +146,7 @@ def cone(f: SparsePolynomial, subset: Iterable[int]) -> TropicalCone:
 
 def classify_weight(f: SparsePolynomial, weight: Sequence) -> tuple[int, ...]:
     """The 1-based set of terms whose weight inner product is maximal."""
-    w = weight_vector(weight, f.n)
-    products = [sum(wi * e for wi, e in zip(w, t.exponent)) for t in f.terms]
-    top = max(products)
+    products, top = weighted_degrees(f, weight)
     return tuple(i + 1 for i, p in enumerate(products) if p == top)
 
 
@@ -206,8 +205,7 @@ def decompose_weight(f: SparsePolynomial, weight: Sequence) -> WeightDecompositi
     w = weight_vector(weight, f.n)
     s = classify_weight(f, w)
     degrees = _term_degrees(f)
-    products = [sum(wi * e for wi, e in zip(w, t.exponent)) for t in f.terms]
-    top = max(products)
+    products, top = weighted_degrees(f, w)
     rays = []
     ray_coeffs = []
     residual = list(w)

@@ -1,8 +1,8 @@
 """Exact Newton-polytope computations.
 
 Vertex detection, simplex testing and lattice-point enumeration all run over
-the rationals: membership is decided by Gaussian elimination plus
-Fourier-Motzkin feasibility, never by floating point.  Lattice enumeration
+the rationals: membership is decided by Gaussian elimination and the exact
+simplex kernel of ``linalg``, never by floating point.  Lattice enumeration
 scans the integer bounding box of the vertices, which is cheap at the problem
 sizes this package targets (dimension <= ~8, exponents <= ~12).
 """
@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -22,14 +20,12 @@ from .polynomial import (
     Exponent,
     PreconditionError,
     SparsePolynomial,
-    exponent_gcd,
     graded_lex_key,
     is_disjointly_supported,
+    is_well_poised,
 )
 
 Point = tuple
-
-WORKERS_ENV = "WELLPOISED_WORKERS"
 
 
 def canonical_point(point: Sequence) -> Point:
@@ -101,34 +97,20 @@ def _barycentric_scanner(vertices: Sequence[Point]):
 
     Returns (condition_rows, sign_rows); a candidate b = (*point, 1) lies in
     the simplex iff every condition row dots to 0 and every sign row dots >= 0.
+    The rows come from the rref of [V; 1 | I]: its right block E satisfies
+    E [V; 1] = [I; 0], so E b gives the barycentric coordinates on top and
+    the consistency conditions below.
     """
     k = len(vertices)
     n = len(vertices[0])
-    width = k + n + 1
-    m = [[Fraction(0)] * width for _ in range(n + 1)]
-    for r in range(n):
-        for c, v in enumerate(vertices):
-            m[r][c] = Fraction(v[r])
-    for c in range(k):
-        m[n][c] = Fraction(1)
-    for r in range(n + 1):
-        m[r][k + r] = Fraction(1)
-    # Gauss-Jordan over the first k columns only
-    row = 0
-    for col in range(k):
-        pivot = next((i for i in range(row, n + 1) if m[i][col] != 0), None)
-        if pivot is None:
-            raise PreconditionError("vertices are affinely dependent")
-        m[row], m[pivot] = m[pivot], m[row]
-        pv = m[row][col]
-        m[row] = [x / pv for x in m[row]]
-        for i in range(n + 1):
-            if i != row and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[row])]
-        row += 1
-    sign_rows = [linalg.integer_scaled(m[i][k:]) for i in range(k)]
-    condition_rows = [linalg.integer_scaled(m[i][k:]) for i in range(k, n + 1)]
+    identity = [[int(r == c) for c in range(n + 1)] for r in range(n + 1)]
+    m = [[*(v[r] for v in vertices), *identity[r]] for r in range(n)]
+    m.append([1] * k + identity[n])
+    reduced, pivots = linalg.rref(m)
+    if pivots[:k] != list(range(k)):
+        raise PreconditionError("vertices are affinely dependent")
+    sign_rows = [linalg.integer_scaled(row[k:]) for row in reduced[:k]]
+    condition_rows = [linalg.integer_scaled(row[k:]) for row in reduced[k:]]
     return condition_rows, sign_rows
 
 
@@ -143,21 +125,8 @@ def _bounding_box(vertices: Sequence[Point]) -> Optional[list[range]]:
     return axes
 
 
-def _worker_count(workers: Optional[int]) -> int:
-    if workers is not None:
-        return max(1, workers)
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
-def lattice_points(p: LatticePolytope, workers: Optional[int] = None) -> list[Exponent]:
-    """All integer points of the polytope, in graded-lex order.
-
-    The box scan may be partitioned across worker threads (WELLPOISED_WORKERS
-    or the explicit argument); the merged output is order-independent.
-    """
+def lattice_points(p: LatticePolytope) -> list[Exponent]:
+    """All integer points of the polytope, in graded-lex order."""
     axes = _bounding_box(p.vertices)
     if axes is None:
         return []
@@ -176,24 +145,7 @@ def lattice_points(p: LatticePolytope, workers: Optional[int] = None) -> list[Ex
         def hit(pt: tuple[int, ...]) -> bool:
             return p.contains(pt)
 
-    def scan(first_values: Sequence[int]) -> list[Exponent]:
-        found = []
-        for first in first_values:
-            for rest in itertools.product(*axes[1:]):
-                pt = (first, *rest)
-                if hit(pt):
-                    found.append(pt)
-        return found
-
-    nworkers = _worker_count(workers)
-    firsts = list(axes[0])
-    if nworkers > 1 and len(firsts) > 1:
-        chunks = [firsts[i::nworkers] for i in range(nworkers)]
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            parts = list(pool.map(scan, chunks))
-        points = [pt for part in parts for pt in part]
-    else:
-        points = scan(firsts)
+    points = [pt for pt in itertools.product(*axes) if hit(pt)]
     return sorted(points, key=graded_lex_key)
 
 
@@ -208,13 +160,12 @@ class FaceDescriptor:
 def _require_empty_simplex_input(f: SparsePolynomial, what: str) -> None:
     if not is_disjointly_supported(f):
         raise PreconditionError(f"{what} requires disjointly supported terms")
-    for i in range(f.k):
-        for j in range(i + 1, f.k):
-            if exponent_gcd(f.terms[i].exponent, f.terms[j].exponent) != 1:
-                raise PreconditionError(
-                    f"{what} requires pairwise exponent gcd 1; "
-                    f"terms {i + 1},{j + 1} violate it"
-                )
+    witness = is_well_poised(f).witness
+    if witness is not None:
+        i, j = witness.terms
+        raise PreconditionError(
+            f"{what} requires pairwise exponent gcd 1; terms {i},{j} violate it"
+        )
 
 
 def faces(f: SparsePolynomial) -> list[FaceDescriptor]:

@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals.
 
 Everything here works on plain tuples of ``fractions.Fraction`` (or ints).
-The systems in this package are tiny, so Gaussian elimination and
-Fourier-Motzkin elimination are used directly instead of floating-point
-solvers: every answer is exact and every certificate is checkable.
+The systems in this package are tiny, so Gaussian elimination and one
+simplex kernel (Bland's rule, so it cannot cycle) run directly over the
+rationals instead of floating-point solvers: every answer is exact and every
+certificate is checkable.
 """
 
 from __future__ import annotations
@@ -15,16 +16,17 @@ from typing import Optional, Sequence
 Scalar = int | Fraction
 Vector = tuple[Fraction, ...]
 
-# An inequality (c, lo) stands for  c . x >= lo.
-Inequality = tuple[Vector, Fraction]
+OPTIMAL, INFEASIBLE, UNBOUNDED = "optimal", "infeasible", "unbounded"
 
 
-def as_fractions(values: Sequence[Scalar]) -> Vector:
-    return tuple(Fraction(v) for v in values)
-
-
-def dot(u: Sequence[Scalar], v: Sequence[Scalar]):
-    return sum(a * b for a, b in zip(u, v))
+def _pivot(m: list[list[Fraction]], r: int, c: int) -> None:
+    """Scale row r to a unit entry in column c and clear column c elsewhere."""
+    pv = m[r][c]
+    pivot_row = m[r] = [x / pv for x in m[r]]
+    for i, row in enumerate(m):
+        if i != r and row[c] != 0:
+            f = row[c]
+            m[i] = [x - f * y for x, y in zip(row, pivot_row)]
 
 
 def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[Vector], list[int]]:
@@ -40,12 +42,7 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[Vector], list[int]]:
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        _pivot(m, r, c)
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -97,117 +94,78 @@ def solve_unique(rows, rhs) -> Optional[Vector]:
     return sol[0]
 
 
-def _normalized(coeffs: Vector, lo: Fraction) -> Inequality:
-    # inequalities may only be scaled by positive factors
-    lead = next((x for x in coeffs if x != 0), None)
-    if lead is None:
-        return coeffs, lo
-    s = abs(lead)
-    return tuple(x / s for x in coeffs), lo / s
+def _bland_pivots(m: list[list[Fraction]], basis: list[int]) -> bool:
+    """Pivot tableau m (constraint rows, then the reduced-cost row) to an optimum.
 
-
-def _contradiction(ineqs) -> bool:
-    return any(all(x == 0 for x in c) and lo > 0 for c, lo in ineqs)
-
-
-def fm_eliminate(ineqs: Sequence[Inequality], var: int) -> list[Inequality]:
-    """One Fourier-Motzkin step: project {x : c.x >= lo} along coordinate var."""
-    pos, neg, rest = [], [], []
-    for c, lo in ineqs:
-        cv = c[var]
-        if cv > 0:
-            pos.append((c, lo))
-        elif cv < 0:
-            neg.append((c, lo))
-        else:
-            rest.append(_normalized(c, lo))
-    out = set(rest)
-    for cp, lp in pos:
-        for cn, ln in neg:
-            a = -cn[var]
-            b = cp[var]
-            comb = tuple(a * x + b * y for x, y in zip(cp, cn))
-            out.add(_normalized(comb, a * lp + b * ln))
-    return sorted(out)
-
-
-def fm_feasible_point(ineqs: Sequence[Inequality], nvars: int) -> Optional[Vector]:
-    """An exact rational point satisfying every inequality, or None.
-
-    Eliminates the variables in order, then back-substitutes, picking an
-    attained bound (the system is non-strict) or 0 for free coordinates.
+    Bland's rule: the lowest-indexed column with negative reduced cost enters,
+    and ties in the ratio test go to the lowest-indexed basic variable, so
+    degenerate pivots never cycle.  Returns False when the objective is
+    unbounded below.
     """
-    current = [_normalized(as_fractions(c), Fraction(lo)) for c, lo in ineqs]
-    if _contradiction(current):
-        return None
-    stages = [current]
-    for v in range(nvars):
-        current = fm_eliminate(current, v)
-        if _contradiction(current):
-            return None
-        stages.append(current)
-    x = [Fraction(0)] * nvars
-    for v in reversed(range(nvars)):
-        low: Optional[Fraction] = None
-        high: Optional[Fraction] = None
-        for c, lo in stages[v]:
-            cv = c[v]
-            if cv == 0:
-                continue
-            bound = (lo - sum(c[j] * x[j] for j in range(v + 1, nvars))) / cv
-            if cv > 0:
-                low = bound if low is None else max(low, bound)
+    while True:
+        costs = m[-1]
+        enter = next((j for j, d in enumerate(costs[:-1]) if d < 0), None)
+        if enter is None:
+            return True
+        leave = None
+        for i in range(len(m) - 1):
+            a = m[i][enter]
+            if a > 0:
+                ratio = m[i][-1] / a
+                if leave is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    leave, best = i, ratio
+        if leave is None:
+            return False
+        _pivot(m, leave, enter)
+        basis[leave] = enter
+
+
+def simplex(cost, rows, rhs) -> tuple[str, Optional[Vector]]:
+    """Minimise cost . x subject to rows . x = rhs and x >= 0, exactly.
+
+    Returns (OPTIMAL, an optimal vertex), (INFEASIBLE, None) or
+    (UNBOUNDED, None).  Phase I starts from one artificial variable per row
+    and minimises their sum; artificials are basis markers only (numbered
+    after the real columns) and never re-enter.  Phase II then minimises
+    cost from the feasible basis Phase I leaves.
+    """
+    n = len(cost)
+    m = []
+    for row, b in zip(rows, rhs):
+        sign = -1 if b < 0 else 1
+        m.append([Fraction(sign * x) for x in row] + [Fraction(sign * b)])
+    # Phase I reduced costs: minus the column sums of the constraint rows
+    m.append([-sum(col) for col in zip(*m)] if m else [Fraction(0)] * (n + 1))
+    basis = list(range(n, n + len(m) - 1))
+    _bland_pivots(m, basis)
+    if m.pop()[-1] != 0:
+        return INFEASIBLE, None
+    # drive the remaining (zero-valued) artificials out, or drop their rows
+    for i in reversed(range(len(m))):
+        if basis[i] >= n:
+            j = next((c for c in range(n) if m[i][c] != 0), None)
+            if j is None:
+                del m[i], basis[i]
             else:
-                high = bound if high is None else min(high, bound)
-        if low is not None:
-            x[v] = low
-        elif high is not None:
-            x[v] = high
-    return tuple(x)
-
-
-def variable_interval(ineqs: Sequence[Inequality], nvars: int, target: int):
-    """Project the system onto one coordinate.
-
-    Returns (low, high) where None encodes an infinite end, or None when the
-    whole system is infeasible.
-    """
-    current = [_normalized(as_fractions(c), Fraction(lo)) for c, lo in ineqs]
-    for v in range(nvars):
-        if v == target:
-            continue
-        current = fm_eliminate(current, v)
-        if _contradiction(current):
-            return None
-    low: Optional[Fraction] = None
-    high: Optional[Fraction] = None
-    for c, lo in current:
-        cv = c[target]
-        if cv == 0:
-            if lo > 0:
-                return None
-        elif cv > 0:
-            low = lo / cv if low is None else max(low, lo / cv)
-        else:
-            high = lo / cv if high is None else min(high, lo / cv)
-    if low is not None and high is not None and low > high:
-        return None
-    return low, high
+                _pivot(m, i, j)
+                basis[i] = j
+    costs = [Fraction(c) for c in cost] + [Fraction(0)]
+    for row, b in zip(m, basis):
+        if costs[b] != 0:
+            f = costs[b]
+            costs = [x - f * y for x, y in zip(costs, row)]
+    m.append(costs)
+    if not _bland_pivots(m, basis):
+        return UNBOUNDED, None
+    x = [Fraction(0)] * n
+    for row, b in zip(m, basis):
+        x[b] = row[-1]
+    return OPTIMAL, tuple(x)
 
 
 def nonnegative_solution_exists(rows, rhs) -> bool:
     """Does A x = b admit a componentwise non-negative solution?"""
-    sol = solve_affine(rows, rhs)
-    if sol is None:
-        return False
-    particular, basis = sol
-    if not basis:
-        return all(x >= 0 for x in particular)
-    ineqs = []
-    for i in range(len(particular)):
-        coeffs = tuple(Fraction(b[i]) for b in basis)
-        ineqs.append((coeffs, -particular[i]))
-    return fm_feasible_point(ineqs, len(basis)) is not None
+    return simplex([0] * len(rows[0]), rows, rhs)[0] != INFEASIBLE
 
 
 def integer_scaled(row: Sequence[Scalar]) -> tuple[int, ...]:

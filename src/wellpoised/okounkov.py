@@ -80,12 +80,19 @@ def variable_valuations(m: ValuationMatrix) -> list[tuple[int, tuple[int, ...]]]
 
 
 def _positive_functional(vectors: Sequence[Point]) -> Optional[tuple[Fraction, ...]]:
-    # phi with phi(v) >= 1 for all v; exists iff phi(v) > 0 is solvable
+    # phi with phi(v) >= 1 for all v; exists iff phi(v) > 0 is solvable.
+    # Standard form: phi = p - q and (p - q).v - s_v = 1 with p, q, s >= 0.
     if not vectors:
         return None
-    dim = len(vectors[0])
-    ineqs = [(tuple(Fraction(x) for x in v), Fraction(1)) for v in vectors]
-    return linalg.fm_feasible_point(ineqs, dim)
+    dim, k = len(vectors[0]), len(vectors)
+    rows = [
+        [*v, *(-x for x in v), *(-1 if i == j else 0 for j in range(k))]
+        for i, v in enumerate(vectors)
+    ]
+    status, x = linalg.simplex([0] * (2 * dim + k), rows, [1] * k)
+    if status == linalg.INFEASIBLE:
+        return None
+    return tuple(x[j] - x[dim + j] for j in range(dim))
 
 
 def _in_semigroup(target: Point, generators: Sequence[Point], phi) -> bool:
@@ -240,47 +247,32 @@ def global_nok_cone(
     )
 
 
-def _nonnegative_system(constraints: Sequence[Constraint], n: int):
-    ineqs = []
-    zero = tuple(Fraction(0) for _ in range(n))
-    for j in range(n):
-        coeffs = list(zero)
-        coeffs[j] = Fraction(1)
-        ineqs.append((tuple(coeffs), Fraction(0)))
-    for row, target in constraints:
-        if len(row) != n:
-            raise PreconditionError("constraint row length differs from dimension")
-        r = tuple(Fraction(x) for x in row)
-        t = Fraction(target)
-        ineqs.append((r, t))
-        ineqs.append((tuple(-x for x in r), -t))
-    return ineqs
-
-
 def graded_component(constraints: Sequence[Constraint], n: int) -> list[Exponent]:
     """All non-negative integer solutions of the given equalities.
 
-    Each coordinate is first bounded exactly by Fourier-Motzkin projection;
-    a coordinate with no finite upper bound makes the component infinite and
-    raises.  Output is sorted in graded-lex order.
+    Each coordinate is first bounded exactly by minimising and maximising it
+    with the simplex kernel; a coordinate with no finite upper bound makes
+    the component infinite and raises.  Output is sorted in graded-lex order.
     """
     if not constraints:
         raise PreconditionError("at least one constraint row is required")
-    ineqs = _nonnegative_system(constraints, n)
+    if any(len(row) != n for row, _ in constraints):
+        raise PreconditionError("constraint row length differs from dimension")
+    rows = [tuple(Fraction(x) for x in row) for row, _ in constraints]
+    targets = [Fraction(t) for _, t in constraints]
     axes = []
     for j in range(n):
-        interval = linalg.variable_interval(ineqs, n, j)
-        if interval is None:
+        unit = [0] * n
+        unit[j] = 1
+        status, low = linalg.simplex(unit, rows, targets)
+        if status == linalg.INFEASIBLE:
             return []
-        low, high = interval
-        if high is None:
+        status, high = linalg.simplex([-x for x in unit], rows, targets)
+        if status == linalg.UNBOUNDED:
             raise PreconditionError(
                 f"coordinate {j} is unbounded; the graded component is infinite"
             )
-        lo = max(0, math.ceil(low)) if low is not None else 0
-        axes.append(range(lo, math.floor(high) + 1))
-    rows = [tuple(Fraction(x) for x in row) for row, _ in constraints]
-    targets = [Fraction(t) for _, t in constraints]
+        axes.append(range(math.ceil(low[j]), math.floor(high[j]) + 1))
     out = []
     for candidate in itertools.product(*axes):
         if all(

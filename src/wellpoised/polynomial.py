@@ -195,7 +195,10 @@ def parse(text: str, variables: Sequence[str]) -> SparsePolynomial:
             if not factor:
                 raise ParseError(f"malformed token in {chunk!r}")
             if _NUMBER_RE.fullmatch(factor):
-                coeff *= Fraction(factor)
+                try:
+                    coeff *= Fraction(factor)
+                except ZeroDivisionError as exc:
+                    raise ParseError(f"zero denominator in {factor!r}") from exc
                 continue
             m = _FACTOR_RE.fullmatch(factor)
             if m is None:
@@ -242,11 +245,16 @@ def weight_vector(values: Sequence, n: int) -> Weight:
     return w
 
 
-def initial_form(f: SparsePolynomial, weight: Sequence) -> SparsePolynomial:
-    """The sub-sum of terms whose weight inner product is maximal."""
+def weighted_degrees(f: SparsePolynomial, weight: Sequence) -> tuple[list[Fraction], Fraction]:
+    """Inner products of the weight with every exponent of f, and their maximum."""
     w = weight_vector(weight, f.n)
     products = [sum(wi * e for wi, e in zip(w, t.exponent)) for t in f.terms]
-    top = max(products)
+    return products, max(products)
+
+
+def initial_form(f: SparsePolynomial, weight: Sequence) -> SparsePolynomial:
+    """The sub-sum of terms whose weight inner product is maximal."""
+    products, top = weighted_degrees(f, weight)
     kept = tuple(t for t, p in zip(f.terms, products) if p == top)
     return SparsePolynomial(n=f.n, terms=kept, variables=f.variables)
 

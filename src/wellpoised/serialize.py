@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 from .fan import TropicalCone
 from .geometry import FaceDescriptor, LatticePolytope, MinkowskiReport
-from .okounkov import GradingImage, OkounkovBody, ValuationMatrix
+from .okounkov import OkounkovBody, ValuationMatrix
 from .polynomial import (
     CommonFactorWitness,
     SharedVariableWitness,
@@ -106,16 +106,6 @@ def body_json(body: OkounkovBody) -> dict:
         "vertices": encode_matrix(body.vertices),
         "boundary": None if body.boundary is None else encode_matrix(body.boundary),
         "area": None if body.area is None else encode_scalar(body.area),
-    }
-
-
-def grading_image_json(image: GradingImage, variables: Sequence[str]) -> dict:
-    return {
-        "degrees": [
-            {"variable": variables[j], "degree": encode_vector(d)}
-            for j, d in enumerate(image.degrees)
-        ],
-        "minimal_generators": encode_matrix(image.minimal_generators),
     }
 
 

@@ -173,9 +173,13 @@ def test_table_format_smoke(capsys):
 
 
 def test_parse_error_exit_code(capsys):
-    code, out, err = run_cli(capsys, ["check", "x^2+q", "--vars", "x,y"])
-    assert code == 2 and out == ""
-    assert json.loads(err)["error"]["code"] == "parse_error"
+    for argv in (
+        ["check", "x^2+q", "--vars", "x,y"],
+        ["check", "3/0*x", "--vars", "x"],
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["code"] == "parse_error"
 
 
 def test_validation_error_exit_code(capsys):
@@ -185,9 +189,14 @@ def test_validation_error_exit_code(capsys):
 
 
 def test_precondition_exit_code(capsys):
-    code, _, err = run_cli(capsys, ["trop", "x+y^2+1", "--vars", "x,y,z"])
-    assert code == 3
-    assert json.loads(err)["error"]["code"] == "precondition_violation"
+    for argv in (
+        ["trop", "x+y^2+1", "--vars", "x,y,z"],
+        # x + y = -1 has no non-negative solution: the polytope is empty
+        ["project", "--rows", "1,1", "--eq-rows", "1,1", "--eq-targets", "-1", "--dim", "2"],
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"]["code"] == "precondition_violation"
 
 
 def test_bad_subcommand_is_validation_error(capsys):

@@ -95,16 +95,34 @@ def test_lattice_points_del_pezzo_simplex_vs_box_oracle():
     assert set(found) == set(expected) == set(verts)
 
 
+def test_lattice_points_random_simplices_vs_box_oracle():
+    # vertices anywhere in a box around the origin, so that the barycentric
+    # signs, not only the bounding box, decide which points are kept
+    rng = random.Random(61)
+    checked = 0
+    for _ in range(30):
+        n = rng.randint(2, 3)
+        pts = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(2, n + 1))]
+        p = LatticePolytope.from_points(pts)
+        if not is_simplex(p):
+            continue
+        verts = p.vertices
+        rows = [[Fraction(v[r]) for v in verts] for r in range(n)]
+        rows.append([Fraction(1)] * len(verts))
+        expected = []
+        box = [range(min(c), max(c) + 1) for c in zip(*verts)]
+        for cand in itertools.product(*box):
+            sol = gauss_solve_unique(rows, list(cand) + [1])
+            if sol is not None and all(x >= 0 for x in sol):
+                expected.append(cand)
+        assert set(lattice_points(p)) == set(expected)
+        checked += 1
+    assert checked >= 20
+
+
 def test_lattice_points_non_simplex_square():
     square = LatticePolytope.from_points([(0, 0), (2, 0), (0, 2), (2, 2)])
     assert len(lattice_points(square)) == 9
-
-
-def test_lattice_points_worker_partition_matches():
-    p = newton_polytope(parse("x^2 + y^3 + z^5", ["x", "y", "z"]))
-    assert lattice_points(p, workers=3) == lattice_points(p)
-    square = LatticePolytope.from_points([(0, 0), (2, 0), (0, 2), (2, 2)])
-    assert lattice_points(square, workers=2) == lattice_points(square)
 
 
 def test_faces_count_and_weights():
@@ -210,6 +228,28 @@ def test_vertex_detection_matches_caratheodory_oracle():
             expected = in_hull_caratheodory(candidate, others)
             assert (candidate not in p.vertices) == expected
             assert in_convex_hull(candidate, others) == expected
+
+
+def test_in_convex_hull_matches_caratheodory_on_large_clouds():
+    # 10-20 generators in 3-D and 4-D.  The oracle tries every subset of up
+    # to n+1 generators before it can answer False (about 14 s for 20
+    # generators in 4-D), so answers that can be False are checked on the
+    # 10-point clouds, and midpoints of two cloud points (True) on every cloud.
+    rng = random.Random(31)
+    answers = []
+    for n in (3, 4):
+        for size in (10, 15, 20):
+            cloud = [tuple(rng.randint(0, 6) for _ in range(n)) for _ in range(size)]
+            a, b = rng.sample(cloud, 2)
+            candidates = [tuple(Fraction(x + y, 2) for x, y in zip(a, b))]
+            if size == 10:
+                candidates += [cloud[0], tuple(rng.randint(0, 6) for _ in range(n))]
+            for point in candidates:
+                others = [q for q in cloud if q != point]
+                expected = in_hull_caratheodory(point, others)
+                assert in_convex_hull(point, others) == expected
+                answers.append(expected)
+    assert True in answers and False in answers
 
 
 def test_simplex_detection_matches_minor_oracle():

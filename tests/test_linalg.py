@@ -69,25 +69,29 @@ def test_solve_unique_agrees_with_oracle():
         assert linalg.solve_unique(rows, rhs) == gauss_solve_unique(rows, rhs)
 
 
-def test_fm_feasible_point_square():
-    # 0 <= x <= 2, 1 <= y <= 3
-    ineqs = [
-        ((1, 0), 0),
-        ((-1, 0), -2),
-        ((0, 1), 1),
-        ((0, -1), -3),
-    ]
-    pt = linalg.fm_feasible_point(ineqs, 2)
-    assert pt is not None
-    x, y = pt
+def test_simplex_square():
+    # 0 <= x <= 2, 1 <= y <= 3 in standard form: x + s = 2, y - t = 1, y + u = 3
+    rows = [[1, 0, 1, 0, 0], [0, 1, 0, -1, 0], [0, 1, 0, 0, 1]]
+    status, pt = linalg.simplex([0] * 5, rows, [2, 1, 3])
+    assert status == linalg.OPTIMAL
+    x, y = pt[:2]
     assert 0 <= x <= 2 and 1 <= y <= 3
+    assert linalg.simplex([-1, -1, 0, 0, 0], rows, [2, 1, 3]) == (
+        linalg.OPTIMAL,
+        (2, 3, 0, 2, 0),
+    )
 
 
-def test_fm_infeasible():
-    assert linalg.fm_feasible_point([((1,), 1), ((-1,), 0)], 1) is None
+def test_simplex_infeasible():
+    # x >= 1 and x <= 0: x - s = 1, x + t = 0
+    assert linalg.simplex([0, 0, 0], [[1, -1, 0], [1, 0, 1]], [1, 0]) == (
+        linalg.INFEASIBLE,
+        None,
+    )
 
 
-def test_fm_feasible_random_constructed():
+def test_simplex_random_constructed():
+    # c . x >= lo around a known centre, with x = p - q and one slack per row
     rng = random.Random(5)
     for _ in range(25):
         n = rng.randint(1, 3)
@@ -97,23 +101,66 @@ def test_fm_feasible_random_constructed():
             coeffs = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
             slack = Fraction(rng.randint(0, 4))
             ineqs.append((coeffs, sum(c * x for c, x in zip(coeffs, center)) - slack))
-        pt = linalg.fm_feasible_point(ineqs, n)
-        assert pt is not None
+        rows = [
+            [*c, *(-x for x in c), *(-int(i == j) for j in range(len(ineqs)))]
+            for i, (c, _) in enumerate(ineqs)
+        ]
+        status, sol = linalg.simplex([0] * len(rows[0]), rows, [lo for _, lo in ineqs])
+        assert status == linalg.OPTIMAL
+        assert all(v >= 0 for v in sol)
+        pt = [sol[j] - sol[n + j] for j in range(n)]
         for coeffs, lo in ineqs:
             assert sum(c * x for c, x in zip(coeffs, pt)) >= lo
 
 
-def test_variable_interval():
-    ineqs = [((1, 1), 2), ((-1, 0), -5), ((0, -1), -5), ((1, 0), 0), ((0, 1), 0)]
-    low, high = linalg.variable_interval(ineqs, 2, 0)
-    assert low == 0 and high == 5
-    unbounded = [((1, 0), 0), ((0, 1), 0)]
-    low, high = linalg.variable_interval(unbounded, 2, 1)
-    assert low == 0 and high is None
+def test_simplex_coordinate_bounds():
+    # x + y >= 2, x <= 5, y <= 5 over x, y >= 0: x ranges over [0, 5]
+    rows = [[1, 1, -1, 0, 0], [1, 0, 0, 1, 0], [0, 1, 0, 0, 1]]
+    rhs = [2, 5, 5]
+    assert linalg.simplex([1, 0, 0, 0, 0], rows, rhs)[1][0] == 0
+    assert linalg.simplex([-1, 0, 0, 0, 0], rows, rhs)[1][0] == 5
+    # only x, y >= 0: y is unbounded above
+    assert linalg.simplex([0, -1], [[0, 0]], [0]) == (linalg.UNBOUNDED, None)
+    assert linalg.simplex([0, 1], [[0, 0]], [0]) == (linalg.OPTIMAL, (0, 0))
 
 
-def test_variable_interval_infeasible():
-    assert linalg.variable_interval([((1,), 2), ((-1,), -1)], 1, 0) is None
+def test_simplex_coordinate_bounds_infeasible():
+    # x >= 2 and x <= 1
+    rows = [[1, -1, 0], [1, 0, 1]]
+    assert linalg.simplex([1, 0, 0], rows, [2, 1])[0] == linalg.INFEASIBLE
+    assert linalg.simplex([-1, 0, 0], rows, [2, 1])[0] == linalg.INFEASIBLE
+
+
+def test_simplex_beale_degenerate_cycle():
+    # Beale's LP (in Chvatal's form): the largest-coefficient rule cycles on
+    # it from the slack basis; Bland's rule reaches the optimum -1/20.
+    cost = [Fraction(-3, 4), 150, Fraction(-1, 50), 6, 0, 0, 0]
+    rows = [
+        [Fraction(1, 4), -60, Fraction(-1, 25), 9, 1, 0, 0],
+        [Fraction(1, 2), -90, Fraction(-1, 50), 3, 0, 1, 0],
+        [0, 0, 1, 0, 0, 0, 1],
+    ]
+    status, x = linalg.simplex(cost, rows, [0, 0, 1])
+    assert status == linalg.OPTIMAL
+    assert x == (Fraction(1, 25), 0, 1, 0, Fraction(3, 100), 0, 0)
+    assert sum(c * v for c, v in zip(cost, x)) == Fraction(-1, 20)
+    # Phase I starts from artificials, not slacks.  A fourth row with target
+    # 0 makes Phase I's reduced costs equal Beale's costs, so Phase I itself
+    # starts on the cycling tableau; the row forces x3 = x7 = 0 against
+    # x3 + x7 = 1, and Bland's rule must stop and report it.
+    fourth = [-c - sum(r[j] for r in rows) for j, c in enumerate(cost)]
+    assert linalg.simplex([0] * 7, rows + [fourth], [0, 0, 1, 0]) == (
+        linalg.INFEASIBLE,
+        None,
+    )
+
+
+def test_simplex_redundant_rows():
+    # a repeated equality and an all-zero row leave artificial rows to drop
+    rows = [[1, 1, 0], [2, 2, 0], [0, 0, 0], [0, 1, 1]]
+    status, x = linalg.simplex([0, 0, -1], rows, [1, 2, 0, 3])
+    assert status == linalg.OPTIMAL
+    assert x == (1, 0, 3)
 
 
 def test_nonnegative_solution_exists():
