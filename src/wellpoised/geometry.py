@@ -3,8 +3,8 @@
 Vertex detection, simplex testing and lattice-point enumeration all run over
 the rationals: membership is decided by Gaussian elimination and the exact
 simplex kernel of ``linalg``, never by floating point.  Lattice enumeration
-scans the integer bounding box of the vertices, which is cheap at the problem
-sizes this package targets (dimension <= ~8, exponents <= ~12).
+solves the affine-hull equations of the vertices for their free coordinates
+inside the bounding box, with the integer-point kernel of ``linalg``.
 """
 
 from __future__ import annotations
@@ -92,60 +92,32 @@ def is_simplex(p: LatticePolytope) -> bool:
     return linalg.rank(diffs) == len(p.vertices) - 1
 
 
-def _barycentric_scanner(vertices: Sequence[Point]):
-    """Precompute integer test rows deciding membership in a simplex.
-
-    Returns (condition_rows, sign_rows); a candidate b = (*point, 1) lies in
-    the simplex iff every condition row dots to 0 and every sign row dots >= 0.
-    The rows come from the rref of [V; 1 | I]: its right block E satisfies
-    E [V; 1] = [I; 0], so E b gives the barycentric coordinates on top and
-    the consistency conditions below.
-    """
-    k = len(vertices)
-    n = len(vertices[0])
-    identity = [[int(r == c) for c in range(n + 1)] for r in range(n + 1)]
-    m = [[*(v[r] for v in vertices), *identity[r]] for r in range(n)]
-    m.append([1] * k + identity[n])
-    reduced, pivots = linalg.rref(m)
-    if pivots[:k] != list(range(k)):
-        raise PreconditionError("vertices are affinely dependent")
-    sign_rows = [linalg.integer_scaled(row[k:]) for row in reduced[:k]]
-    condition_rows = [linalg.integer_scaled(row[k:]) for row in reduced[k:]]
-    return condition_rows, sign_rows
-
-
-def _bounding_box(vertices: Sequence[Point]) -> Optional[list[range]]:
-    axes = []
-    for j in range(len(vertices[0])):
-        lo = math.ceil(min(v[j] for v in vertices))
-        hi = math.floor(max(v[j] for v in vertices))
-        if lo > hi:
-            return None
-        axes.append(range(lo, hi + 1))
-    return axes
-
-
 def lattice_points(p: LatticePolytope) -> list[Exponent]:
-    """All integer points of the polytope, in graded-lex order."""
-    axes = _bounding_box(p.vertices)
-    if axes is None:
-        return []
-    if is_simplex(p):
-        conditions, signs = _barycentric_scanner(p.vertices)
+    """All integer points of the polytope, in graded-lex order.
 
-        def hit(pt: tuple[int, ...]) -> bool:
+    The rows of the rref of [V; 1 | I] (vertices as the columns of V) past
+    the rank of [V; 1] are the affine-hull equations, which the integer-point
+    kernel solves inside the bounding box of the vertices.  For a simplex the
+    first rows give barycentric coordinates, kept when all are non-negative;
+    otherwise the exact hull test decides.
+    """
+    k, n = len(p.vertices), p.n
+    m = [[*(v[r] for v in p.vertices), *(int(r == c) for c in range(n + 1))] for r in range(n)]
+    m.append([1] * k + [0] * n + [1])
+    reduced, pivots = linalg.rref(m)
+    rank = sum(c < k for c in pivots)
+    if rank == k:
+        signs = [linalg.integer_scaled(row[k:]) for row in reduced[:k]]
+
+        def keep(pt: tuple[int, ...]) -> bool:
             b = pt + (1,)
-            for row in conditions:
-                if sum(x * y for x, y in zip(row, b)) != 0:
-                    return False
-            return all(sum(x * y for x, y in zip(row, b)) >= 0 for row in signs)
+            return all(sum(a * x for a, x in zip(row, b)) >= 0 for row in signs)
 
     else:
-
-        def hit(pt: tuple[int, ...]) -> bool:
-            return p.contains(pt)
-
-    points = [pt for pt in itertools.product(*axes) if hit(pt)]
+        keep = p.contains
+    hull = reduced[rank:]
+    bounds = [(math.ceil(min(c)), math.floor(max(c))) for c in zip(*p.vertices)]
+    points = linalg.integer_points([r[k:-1] for r in hull], [-r[-1] for r in hull], bounds, keep)
     return sorted(points, key=graded_lex_key)
 
 

@@ -1,14 +1,15 @@
 """Exact linear algebra over the rationals.
 
 Everything here works on plain tuples of ``fractions.Fraction`` (or ints).
-The systems in this package are tiny, so Gaussian elimination and one
-simplex kernel (Bland's rule, so it cannot cycle) run directly over the
-rationals instead of floating-point solvers: every answer is exact and every
-certificate is checkable.
+The systems in this package are tiny, so Gaussian elimination, one simplex
+kernel (Bland's rule, so it cannot cycle) and one integer-point kernel run
+directly over the rationals instead of floating-point solvers: every answer
+is exact and every certificate is checkable.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -166,6 +167,39 @@ def simplex(cost, rows, rhs) -> tuple[str, Optional[Vector]]:
 def nonnegative_solution_exists(rows, rhs) -> bool:
     """Does A x = b admit a componentwise non-negative solution?"""
     return simplex([0] * len(rows[0]), rows, rhs)[0] != INFEASIBLE
+
+
+def integer_points(rows, rhs, bounds, keep=None) -> list[tuple[int, ...]]:
+    """The integer x with rows . x = rhs and lo <= x[j] <= hi for each (lo, hi)
+    in bounds, and keep(x) true when keep is given, in scan order.
+
+    Only the free columns of the rref of [rows | rhs] are scanned.  Each pivot
+    coordinate is solved from its integer-scaled row by divmod; a remainder or
+    a value out of bounds drops the candidate.
+    """
+    n = len(bounds)
+    reduced, pivots = rref([[*row, b] for row, b in zip(rows, rhs)])
+    if n in pivots:  # pivot in the rhs column: inconsistent
+        return []
+    free = [j for j in range(n) if j not in pivots]
+    # den * x[c] + coeffs . x[free] = b, with den > 0 since row[c] == 1
+    scaled = [integer_scaled(row) for row in reduced]
+    solved = [(c, s[c], [s[j] for j in free], s[-1]) for s, c in zip(scaled, pivots)]
+    out, x = [], [0] * n
+    for point in itertools.product(*(range(bounds[j][0], bounds[j][1] + 1) for j in free)):
+        for c, den, coeffs, b in solved:
+            q, r = divmod(b - sum(a * v for a, v in zip(coeffs, point)), den)
+            if r or not bounds[c][0] <= q <= bounds[c][1]:
+                break
+            x[c] = q
+        else:
+            if solved:  # the scan holds the free coordinates only
+                for j, v in zip(free, point):
+                    x[j] = v
+                point = tuple(x)
+            if keep is None or keep(point):
+                out.append(point)
+    return out
 
 
 def integer_scaled(row: Sequence[Scalar]) -> tuple[int, ...]:

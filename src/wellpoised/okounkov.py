@@ -252,7 +252,8 @@ def graded_component(constraints: Sequence[Constraint], n: int) -> list[Exponent
 
     Each coordinate is first bounded exactly by minimising and maximising it
     with the simplex kernel; a coordinate with no finite upper bound makes
-    the component infinite and raises.  Output is sorted in graded-lex order.
+    the component infinite and raises.  The integer-point kernel then solves
+    the equalities inside those bounds.  Output is sorted in graded-lex order.
     """
     if not constraints:
         raise PreconditionError("at least one constraint row is required")
@@ -260,10 +261,9 @@ def graded_component(constraints: Sequence[Constraint], n: int) -> list[Exponent
         raise PreconditionError("constraint row length differs from dimension")
     rows = [tuple(Fraction(x) for x in row) for row, _ in constraints]
     targets = [Fraction(t) for _, t in constraints]
-    axes = []
+    bounds = []
     for j in range(n):
-        unit = [0] * n
-        unit[j] = 1
+        unit = [int(i == j) for i in range(n)]
         status, low = linalg.simplex(unit, rows, targets)
         if status == linalg.INFEASIBLE:
             return []
@@ -272,15 +272,8 @@ def graded_component(constraints: Sequence[Constraint], n: int) -> list[Exponent
             raise PreconditionError(
                 f"coordinate {j} is unbounded; the graded component is infinite"
             )
-        axes.append(range(math.ceil(low[j]), math.floor(high[j]) + 1))
-    out = []
-    for candidate in itertools.product(*axes):
-        if all(
-            sum(r * c for r, c in zip(row, candidate)) == t
-            for row, t in zip(rows, targets)
-        ):
-            out.append(candidate)
-    return sorted(out, key=graded_lex_key)
+        bounds.append((math.ceil(low[j]), math.floor(high[j])))
+    return sorted(linalg.integer_points(rows, targets, bounds), key=graded_lex_key)
 
 
 def equality_polytope_vertices(

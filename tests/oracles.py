@@ -45,16 +45,21 @@ def gauss_solve_unique(rows, rhs):
 
 
 def det(matrix):
-    """Determinant by cofactor expansion (exact, tiny matrices only)."""
+    """Determinant by cofactor expansion (exact, tiny matrices only).
+
+    Integer entries give an int, rational ones a Fraction.
+    """
     size = len(matrix)
     if size == 1:
-        return Fraction(matrix[0][0])
-    total = Fraction(0)
+        return matrix[0][0]
+    if size == 2:
+        return matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
+    total = 0
     for c in range(size):
         if matrix[0][c] == 0:
             continue
         minor = [row[:c] + row[c + 1 :] for row in matrix[1:]]
-        total += (-1) ** c * Fraction(matrix[0][c]) * det(minor)
+        total += (-1) ** c * matrix[0][c] * det(minor)
     return total
 
 
@@ -87,6 +92,38 @@ def in_hull_caratheodory(point, generators) -> bool:
             if sol is not None and all(x >= 0 for x in sol):
                 return True
     return False
+
+
+def in_hull_facets(generators):
+    """Membership in conv(generators) by facet inequalities, for a cloud in
+    R^n (n >= 2) of full dimension.
+
+    Every n-subset of the cloud spans a hyperplane whose normal holds the
+    signed cofactors of the differences from its first point.  When the whole
+    cloud lies on one side of it, and some point strictly on that side, it
+    supports a facet.  The facets are found once; the returned predicate
+    tests a point against each of them.
+    """
+    gens = [tuple(g) for g in generators]
+    n = len(gens[0])
+    facets = set()
+    for subset in itertools.combinations(gens, n):
+        diffs = [[x - y for x, y in zip(p, subset[0])] for p in subset[1:]]
+        normal = [(-1) ** j * det([row[:j] + row[j + 1 :] for row in diffs]) for j in range(n)]
+        offset = sum(a * x for a, x in zip(normal, subset[0]))
+        values = [sum(a * x for a, x in zip(normal, g)) - offset for g in gens]
+        low, high = min(values), max(values)
+        if low < 0 and high == 0:
+            facets.add((tuple(normal), offset))
+        elif low == 0 and high > 0:
+            facets.add((tuple(-a for a in normal), -offset))
+    if not facets:
+        raise ValueError("the cloud is not full-dimensional")
+
+    def contains(point) -> bool:
+        return all(sum(a * x for a, x in zip(normal, point)) <= offset for normal, offset in facets)
+
+    return contains
 
 
 def triangulation_area(cycle) -> Fraction:

@@ -22,6 +22,7 @@ from wellpoised import (
 from oracles import (
     gauss_solve_unique,
     in_hull_caratheodory,
+    in_hull_facets,
     random_disjoint_polynomial,
     rank_by_minors,
 )
@@ -123,6 +124,14 @@ def test_lattice_points_random_simplices_vs_box_oracle():
 def test_lattice_points_non_simplex_square():
     square = LatticePolytope.from_points([(0, 0), (2, 0), (0, 2), (2, 2)])
     assert len(lattice_points(square)) == 9
+    # a tilted parallelogram in 3-D: its affine hull z = x + y - 1 and the
+    # hull test both cut points from the bounding box
+    parallelogram = LatticePolytope.from_points([(1, 0, 0), (3, 1, 3), (2, 2, 3), (4, 3, 6)])
+    assert not is_simplex(parallelogram)
+    box = itertools.product(range(1, 5), range(4), range(7))
+    expected = [pt for pt in box if in_hull_caratheodory(pt, parallelogram.vertices)]
+    assert sorted(lattice_points(parallelogram)) == sorted(expected)
+    assert len(expected) == 6
 
 
 def test_faces_count_and_weights():
@@ -231,25 +240,30 @@ def test_vertex_detection_matches_caratheodory_oracle():
 
 
 def test_in_convex_hull_matches_caratheodory_on_large_clouds():
-    # 10-20 generators in 3-D and 4-D.  The oracle tries every subset of up
-    # to n+1 generators before it can answer False (about 14 s for 20
-    # generators in 4-D), so answers that can be False are checked on the
-    # 10-point clouds, and midpoints of two cloud points (True) on every cloud.
+    # 10-20 generators in 3-D and 4-D.  The Caratheodory oracle tries every
+    # subset of up to n+1 generators before it can answer False (about 14 s
+    # for 20 generators in 4-D), so it checks the 10-point clouds only; the
+    # facet oracle, built once per cloud, checks every cloud.
     rng = random.Random(31)
-    answers = []
+    answers = {10: set(), 15: set(), 20: set()}
     for n in (3, 4):
         for size in (10, 15, 20):
             cloud = [tuple(rng.randint(0, 6) for _ in range(n)) for _ in range(size)]
-            a, b = rng.sample(cloud, 2)
-            candidates = [tuple(Fraction(x + y, 2) for x, y in zip(a, b))]
-            if size == 10:
-                candidates += [cloud[0], tuple(rng.randint(0, 6) for _ in range(n))]
+            generators = cloud[1:]
+            inside = in_hull_facets(generators)
+            a, b = rng.sample(generators, 2)
+            midpoint = tuple(Fraction(x + y, 2) for x, y in zip(a, b))
+            candidates = [midpoint, cloud[0]]
+            candidates += [
+                tuple(rng.randint(0, 6) for _ in range(n)) for _ in range(1 if size == 10 else 8)
+            ]
             for point in candidates:
-                others = [q for q in cloud if q != point]
-                expected = in_hull_caratheodory(point, others)
-                assert in_convex_hull(point, others) == expected
-                answers.append(expected)
-    assert True in answers and False in answers
+                expected = inside(point)
+                if size == 10:
+                    assert in_hull_caratheodory(point, generators) == expected
+                assert in_convex_hull(point, generators) == expected
+                answers[size].add(expected)
+    assert all(seen == {True, False} for seen in answers.values())
 
 
 def test_simplex_detection_matches_minor_oracle():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -182,3 +183,81 @@ def test_integer_scaled_and_primitive():
 def test_solve_affine_requires_rows():
     with pytest.raises(ValueError):
         linalg.solve_affine([], [])
+
+
+def box_scan(rows, rhs, bounds, keep=None):
+    """Every point of the integer box that satisfies the equalities and keep."""
+    return [
+        x
+        for x in itertools.product(*(range(lo, hi + 1) for lo, hi in bounds))
+        if all(sum(Fraction(a) * v for a, v in zip(row, x)) == b for row, b in zip(rows, rhs))
+        and (keep is None or keep(x))
+    ]
+
+
+def test_integer_points_hand_cases():
+    # 2x + 4y = 6 reduces to x = 3 - 2y, whole for every y
+    assert sorted(linalg.integer_points([[2, 4]], [6], [(-5, 5), (-5, 5)])) == [
+        (-5, 4),
+        (-3, 3),
+        (-1, 2),
+        (1, 1),
+        (3, 0),
+        (5, -1),
+    ]
+    # 2x + 3y = 6 keeps the pivot 2 on x: x = (6 - 3y) / 2 is whole for even y
+    assert sorted(linalg.integer_points([[2, 3]], [6], [(-5, 5), (-2, 3)])) == [
+        (0, 2),
+        (3, 0),
+    ]
+    # 4x + 2y = 3 has no integer point at all
+    assert linalg.integer_points([[4, 2]], [3], [(-5, 5), (-5, 5)]) == []
+    # x/2 + y/3 = 5/6 with x, y in [0, 9]
+    assert linalg.integer_points(
+        [[Fraction(1, 2), Fraction(1, 3)]], [Fraction(5, 6)], [(0, 9), (0, 9)]
+    ) == [(1, 1)]
+    # inconsistent rows, and a zero row with a nonzero rhs
+    assert linalg.integer_points([[1, 1], [2, 2]], [1, 3], [(0, 3), (0, 3)]) == []
+    assert linalg.integer_points([[0, 0]], [1], [(0, 3), (0, 3)]) == []
+    # zero rows with zero rhs, and no rows at all, leave the whole box
+    box = [(-1, 1), (0, 2)]
+    assert linalg.integer_points([[0, 0]], [0], box) == box_scan([], [], box)
+    assert linalg.integer_points([], [], box) == box_scan([], [], box)
+    # an empty bound empties the answer, even on a pivot coordinate
+    assert linalg.integer_points([[1, 1]], [2], [(0, 2), (3, 1)]) == []
+    assert linalg.integer_points([[1, -1]], [0], [(2, 1), (0, 3)]) == []
+    # keep filters the points that pass the equalities
+    kept = linalg.integer_points([[1, 1, 1]], [2], [(0, 2)] * 3, keep=lambda x: x[0] == 1)
+    assert sorted(kept) == [(1, 0, 1), (1, 1, 0)]
+
+
+def test_integer_points_match_box_scan():
+    rng = random.Random(23)
+    nonempty = 0
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        rows = [
+            [
+                rng.randint(-3, 3)
+                if rng.random() < 0.8
+                else Fraction(rng.randint(-5, 5), rng.choice([2, 3]))
+                for _ in range(n)
+            ]
+            for _ in range(rng.randint(0, 3))
+        ]
+        if rows and rng.random() < 0.2:
+            rows.append([0] * n)  # zero row, consistent or not
+        point = [rng.randint(-2, 2) for _ in range(n)]
+        rhs = [sum(Fraction(a) * v for a, v in zip(row, point)) for row in rows]
+        if rhs and rng.random() < 0.3:
+            rhs[rng.randrange(len(rhs))] += Fraction(rng.randint(-2, 2), rng.choice([1, 2]))
+        # bounds around the planted point, now and then cutting it off
+        bounds = [(v - rng.randint(0, 3), v + rng.randint(-1, 3)) for v in point]
+        keep = None if rng.random() < 0.5 else (lambda x: sum(x) % 2 == 0)
+        expected = box_scan(rows, rhs, bounds, keep)
+        found = linalg.integer_points(rows, rhs, bounds, keep)
+        assert sorted(found) == expected
+        assert len(found) == len(set(found))
+        assert all(type(v) is int for x in found for v in x)
+        nonempty += bool(expected)
+    assert nonempty >= 60

@@ -220,6 +220,16 @@ def test_graded_component_matches_closed_form_oracle():
         assert a[0] + a[1] + a[2] + 2 * a[4] == 6
 
 
+def test_graded_component_del_pezzo_quotient_counts():
+    # N(0,6n) - N(0,6n-2) = 12n^2 + 6n + 1: the Hilbert growth whose leading
+    # coefficient is half the area 24 of the del Pezzo body
+    def count(target):
+        return len(graded_component([((1, -1, 0, -1, 1), 0), ((1, 1, 1, 0, 2), target)], 5))
+
+    for n in range(1, 9):
+        assert count(6 * n) - count(6 * n - 2) == 12 * n**2 + 6 * n + 1
+
+
 def test_graded_component_unbounded_raises():
     with pytest.raises(PreconditionError):
         graded_component([((1, -1), 0)], 2)

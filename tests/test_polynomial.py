@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wellpoised import (
     CommonFactorWitness,
@@ -81,6 +82,25 @@ def test_printer_round_trip_random():
     for _ in range(40):
         f = random_disjoint_polynomial(rng)
         assert parse(to_string(f), f.variables) == f
+
+
+@st.composite
+def sparse_polynomials(draw):
+    n = draw(st.integers(1, 4))
+    coefficient = st.fractions(-20, 20, max_denominator=12).filter(bool)
+    exponent = st.tuples(*[st.integers(0, 6)] * n)
+    terms = draw(
+        st.lists(
+            st.tuples(coefficient, exponent), min_size=1, max_size=6, unique_by=lambda t: t[1]
+        )
+    )
+    return SparsePolynomial.from_terms(terms, variables=XYZW[:n])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(sparse_polynomials())
+def test_printer_round_trip_property(f):
+    assert parse(to_string(f), f.variables) == f
 
 
 def test_initial_form_examples():
