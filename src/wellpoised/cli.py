@@ -10,6 +10,7 @@ reported as one-line JSON documents on standard error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -266,10 +267,15 @@ def _emit_error(code: str, message: str) -> None:
     sys.stderr.write(json.dumps({"error": {"code": code, "message": message}}) + "\n")
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first run and reused by later runs."""
+    return build_parser()
+
+
 def run(argv: Sequence[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _parser().parse_args(list(argv))
         doc = serialize.document(_COMMANDS[args.command](args))
     except UsageError as exc:
         _emit_error("validation_error", str(exc))

@@ -160,12 +160,13 @@ def tropical_variety(f: SparsePolynomial) -> list[TropicalCone]:
 
     The maximal cones are exactly the two-element subsets: K*(K-1)/2 of them.
     """
-    _require_fan_input(f)
-    cones = []
-    for size in range(2, f.k + 1):
-        for subset in itertools.combinations(range(1, f.k + 1), size):
-            cones.append(cone(f, subset))
-    return cones
+    basis = lineality_basis(f)
+    rays = [ray_generator(f, i) for i in range(1, f.k + 1)]
+    return [
+        TropicalCone(s, basis, tuple(ray for ray in rays if ray.i not in s))
+        for size in range(2, f.k + 1)
+        for s in itertools.combinations(range(1, f.k + 1), size)
+    ]
 
 
 @dataclass(frozen=True)

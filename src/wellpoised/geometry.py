@@ -43,9 +43,9 @@ def in_convex_hull(point: Sequence, generators: Sequence[Sequence]) -> bool:
     if not gens:
         return False
     n = len(gens[0])
-    rows = [[Fraction(g[r]) for g in gens] for r in range(n)]
-    rows.append([Fraction(1)] * len(gens))
-    rhs = [Fraction(x) for x in point] + [Fraction(1)]
+    rows = [[g[r] for g in gens] for r in range(n)]
+    rows.append([1] * len(gens))
+    rhs = [*point, 1]
     return linalg.nonnegative_solution_exists(rows, rhs)
 
 

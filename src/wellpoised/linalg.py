@@ -1,10 +1,13 @@
 """Exact linear algebra over the rationals.
 
-Everything here works on plain tuples of ``fractions.Fraction`` (or ints).
-The systems in this package are tiny, so Gaussian elimination, one simplex
-kernel (Bland's rule, so it cannot cycle) and one integer-point kernel run
-directly over the rationals instead of floating-point solvers: every answer
-is exact and every certificate is checkable.
+Inputs are plain sequences of ``fractions.Fraction`` (or ints).  The systems
+in this package are tiny, so Gauss-Jordan elimination, one simplex kernel
+(Bland's rule, so it cannot cycle) and one integer-point kernel run exactly
+instead of through floating-point solvers: every answer is exact and every
+certificate is checkable.  All of them share one pivot step that runs
+fraction-free on integer rows (each row scaled by the lcm of its
+denominators, cross-multiplied at a pivot and divided by the gcd of its
+entries); answers come back as ``Fraction``.
 """
 
 from __future__ import annotations
@@ -20,26 +23,43 @@ Vector = tuple[Fraction, ...]
 OPTIMAL, INFEASIBLE, UNBOUNDED = "optimal", "infeasible", "unbounded"
 
 
-def _pivot(m: list[list[Fraction]], r: int, c: int) -> None:
-    """Scale row r to a unit entry in column c and clear column c elsewhere."""
-    pv = m[r][c]
-    pivot_row = m[r] = [x / pv for x in m[r]]
+def _integer_row(row: Sequence[Scalar]) -> tuple[list[int], int]:
+    """The row times the lcm d of its denominators, as ints, and d."""
+    if all(type(x) is int for x in row):
+        return list(row), 1
+    fracs = [Fraction(x) for x in row]
+    d = math.lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (d // f.denominator) for f in fracs], d
+
+
+def _pivot(m: list[list[int]], r: int, c: int) -> None:
+    """Fraction-free pivot of integer rows on (r, c).
+
+    Row r is negated if need be so that p = m[r][c] > 0; every other row with
+    a nonzero entry f in column c becomes p*row - f*(row r) divided by the
+    gcd of its entries.  Each row stays a positive multiple of the row that
+    a rational pivot (row r scaled to 1 in column c) would give.
+    """
+    if m[r][c] < 0:
+        m[r] = [-x for x in m[r]]
+    pivot_row = m[r]
+    p = pivot_row[c]
     for i, row in enumerate(m):
-        if i != r and row[c] != 0:
-            f = row[c]
-            m[i] = [x - f * y for x, y in zip(row, pivot_row)]
+        f = row[c]
+        if f and i != r:
+            new = [p * x - f * y for x, y in zip(row, pivot_row)]
+            g = math.gcd(*new)
+            m[i] = [x // g for x in new] if g > 1 else new
 
 
-def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[Vector], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
+def _echelon(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], list[int]]:
+    """Integer rows, each a positive multiple of a nonzero row of the rref,
+    and the pivot columns."""
+    m = [_integer_row(row)[0] for row in rows]
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+    for c in range(len(m[0]) if m else 0):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
@@ -48,7 +68,13 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[Vector], list[int]]:
         r += 1
         if r == len(m):
             break
-    return [tuple(row) for row in m[:r]], pivots
+    return m[:r], pivots
+
+
+def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[Vector], list[int]]:
+    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
+    m, pivots = _echelon(rows)
+    return [tuple(Fraction(x, row[c]) for x in row) for row, c in zip(m, pivots)], pivots
 
 
 def rank(rows: Sequence[Sequence[Scalar]]) -> int:
@@ -95,12 +121,14 @@ def solve_unique(rows, rhs) -> Optional[Vector]:
     return sol[0]
 
 
-def _bland_pivots(m: list[list[Fraction]], basis: list[int]) -> bool:
+def _bland_pivots(m: list[list[int]], basis: list[int]) -> bool:
     """Pivot tableau m (constraint rows, then the reduced-cost row) to an optimum.
 
     Bland's rule: the lowest-indexed column with negative reduced cost enters,
     and ties in the ratio test go to the lowest-indexed basic variable, so
-    degenerate pivots never cycle.  Returns False when the objective is
+    degenerate pivots never cycle.  Every row is a positive multiple of the
+    rational tableau's row, so signs agree with it and the ratios rhs/entry
+    are compared by cross-multiplying.  Returns False when the objective is
     unbounded below.
     """
     while True:
@@ -108,13 +136,13 @@ def _bland_pivots(m: list[list[Fraction]], basis: list[int]) -> bool:
         enter = next((j for j, d in enumerate(costs[:-1]) if d < 0), None)
         if enter is None:
             return True
-        leave = None
-        for i in range(len(m) - 1):
-            a = m[i][enter]
+        leave, num, den = None, 1, 0  # smallest ratio num/den so far; 1/0 is infinite
+        for i, row in enumerate(m[:-1]):
+            a = row[enter]
             if a > 0:
-                ratio = m[i][-1] / a
-                if leave is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    leave, best = i, ratio
+                diff = row[-1] * den - num * a  # sign of row[-1]/a - num/den
+                if diff < 0 or (diff == 0 and basis[i] < basis[leave]):
+                    leave, num, den = i, row[-1], a
         if leave is None:
             return False
         _pivot(m, leave, enter)
@@ -128,15 +156,20 @@ def simplex(cost, rows, rhs) -> tuple[str, Optional[Vector]]:
     (UNBOUNDED, None).  Phase I starts from one artificial variable per row
     and minimises their sum; artificials are basis markers only (numbered
     after the real columns) and never re-enter.  Phase II then minimises
-    cost from the feasible basis Phase I leaves.
+    cost from the feasible basis Phase I leaves.  The tableau holds each row
+    times the lcm of its denominators, so a basic value is rhs / pivot entry.
     """
     n = len(cost)
-    m = []
+    m, scales = [], []
     for row, b in zip(rows, rhs):
-        sign = -1 if b < 0 else 1
-        m.append([Fraction(sign * x) for x in row] + [Fraction(sign * b)])
-    # Phase I reduced costs: minus the column sums of the constraint rows
-    m.append([-sum(col) for col in zip(*m)] if m else [Fraction(0)] * (n + 1))
+        ints, d = _integer_row([*row, b])
+        m.append([-x for x in ints] if ints[-1] < 0 else ints)
+        scales.append(d)
+    # Phase I reduced costs: minus the column sums of the rational rows,
+    # times the lcm of the row scales
+    lcm = math.lcm(*scales)
+    weights = [lcm // d for d in scales]
+    m.append([-sum(w * x for w, x in zip(weights, col)) for col in zip(*m)] or [0] * (n + 1))
     basis = list(range(n, n + len(m) - 1))
     _bland_pivots(m, basis)
     if m.pop()[-1] != 0:
@@ -150,17 +183,16 @@ def simplex(cost, rows, rhs) -> tuple[str, Optional[Vector]]:
             else:
                 _pivot(m, i, j)
                 basis[i] = j
-    costs = [Fraction(c) for c in cost] + [Fraction(0)]
-    for row, b in zip(m, basis):
-        if costs[b] != 0:
-            f = costs[b]
-            costs = [x - f * y for x, y in zip(costs, row)]
-    m.append(costs)
+    # Phase II reduced costs: pivoting on each basic entry clears the cost
+    # row there and leaves the other rows, which hold 0 in that column
+    m.append(_integer_row([*cost, 0])[0])
+    for i, b in enumerate(basis):
+        _pivot(m, i, b)
     if not _bland_pivots(m, basis):
         return UNBOUNDED, None
     x = [Fraction(0)] * n
     for row, b in zip(m, basis):
-        x[b] = row[-1]
+        x[b] = Fraction(row[-1], row[b])
     return OPTIMAL, tuple(x)
 
 
@@ -178,13 +210,12 @@ def integer_points(rows, rhs, bounds, keep=None) -> list[tuple[int, ...]]:
     a value out of bounds drops the candidate.
     """
     n = len(bounds)
-    reduced, pivots = rref([[*row, b] for row, b in zip(rows, rhs)])
+    reduced, pivots = _echelon([[*row, b] for row, b in zip(rows, rhs)])
     if n in pivots:  # pivot in the rhs column: inconsistent
         return []
     free = [j for j in range(n) if j not in pivots]
-    # den * x[c] + coeffs . x[free] = b, with den > 0 since row[c] == 1
-    scaled = [integer_scaled(row) for row in reduced]
-    solved = [(c, s[c], [s[j] for j in free], s[-1]) for s, c in zip(scaled, pivots)]
+    # den * x[c] + coeffs . x[free] = b, with den = row[c] > 0
+    solved = [(c, s[c], [s[j] for j in free], s[-1]) for s, c in zip(reduced, pivots)]
     out, x = [], [0] * n
     for point in itertools.product(*(range(bounds[j][0], bounds[j][1] + 1) for j in free)):
         for c, den, coeffs, b in solved:
@@ -204,9 +235,7 @@ def integer_points(rows, rhs, bounds, keep=None) -> list[tuple[int, ...]]:
 
 def integer_scaled(row: Sequence[Scalar]) -> tuple[int, ...]:
     """Scale a rational row by the lcm of denominators to an integer row."""
-    fracs = [Fraction(x) for x in row]
-    den = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-    return tuple(int(f * den) for f in fracs)
+    return tuple(_integer_row(row)[0])
 
 
 def primitive_integer(vec: Sequence[int]) -> tuple[int, ...]:

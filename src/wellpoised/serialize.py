@@ -27,6 +27,8 @@ SCHEMA_VERSION = 1
 
 
 def encode_scalar(x):
+    if type(x) is int:
+        return x
     f = Fraction(x)
     if f.denominator == 1:
         return int(f)

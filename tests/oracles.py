@@ -1,8 +1,9 @@
 """Independent reference implementations used as test oracles.
 
 Deliberately separate from the library code paths: hull membership goes
-through exhaustive Caratheodory subsets, rank through explicit minors, and
-solving through a standalone elimination routine.
+through exhaustive Caratheodory subsets, rank through explicit minors,
+solving through a standalone elimination routine, and linear programs
+through a simplex over a Fraction tableau.
 """
 
 from __future__ import annotations
@@ -42,6 +43,73 @@ def gauss_solve_unique(rows, rhs):
     if any(w == -1 for w in where):
         return None
     return tuple(m[where[c]][-1] for c in range(ncols))
+
+
+def simplex_fraction(cost, rows, rhs):
+    """Bland's-rule two-phase simplex over a Fraction tableau, the reference
+    for the library's fraction-free kernel.
+
+    Same contract: minimise cost . x over rows . x = rhs, x >= 0, returning
+    ("optimal", vertex), ("infeasible", None) or ("unbounded", None).  Each
+    pivot scales the pivot row to 1 and clears its column with Fraction
+    arithmetic.
+    """
+
+    def pivot(m, r, c):
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i, row in enumerate(m):
+            if i != r and row[c] != 0:
+                f = row[c]
+                m[i] = [x - f * y for x, y in zip(row, m[r])]
+
+    def bland(m, basis):
+        while True:
+            enter = next((j for j, d in enumerate(m[-1][:-1]) if d < 0), None)
+            if enter is None:
+                return True
+            leave = None
+            for i in range(len(m) - 1):
+                a = m[i][enter]
+                if a > 0:
+                    ratio = m[i][-1] / a
+                    if leave is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                        leave, best = i, ratio
+            if leave is None:
+                return False
+            pivot(m, leave, enter)
+            basis[leave] = enter
+
+    n = len(cost)
+    m = []
+    for row, b in zip(rows, rhs):
+        sign = -1 if b < 0 else 1
+        m.append([Fraction(sign * x) for x in row] + [Fraction(sign * b)])
+    m.append([-sum(col) for col in zip(*m)] if m else [Fraction(0)] * (n + 1))
+    basis = list(range(n, n + len(m) - 1))
+    bland(m, basis)
+    if m.pop()[-1] != 0:
+        return "infeasible", None
+    for i in reversed(range(len(m))):
+        if basis[i] >= n:
+            j = next((c for c in range(n) if m[i][c] != 0), None)
+            if j is None:
+                del m[i], basis[i]
+            else:
+                pivot(m, i, j)
+                basis[i] = j
+    costs = [Fraction(c) for c in cost] + [Fraction(0)]
+    for row, b in zip(m, basis):
+        if costs[b] != 0:
+            f = costs[b]
+            costs = [x - f * y for x, y in zip(costs, row)]
+    m.append(costs)
+    if not bland(m, basis):
+        return "unbounded", None
+    x = [Fraction(0)] * n
+    for row, b in zip(m, basis):
+        x[b] = row[-1]
+    return "optimal", tuple(x)
 
 
 def det(matrix):

@@ -158,6 +158,23 @@ def test_output_is_deterministic(capsys):
     assert first == second
 
 
+def test_run_repeats_alternating_commands(capsys):
+    # the parser is built once per process and reused by every run
+    argvs = [
+        ["check", "x*y+y*z", "--vars", "x,y,z"],
+        ["trop", "x+y^2+z*w", "--vars", "x,y,z,w"],
+        ["graded", "--eq-rows", "1,1,1", "--eq-targets", "2", "--dim", "3"],
+        ["matrix", "x+y^2+z*w", "--vars", "x,y,z,w", "--S", "1,2"],
+        ["check", "x+", "--vars", "x"],
+        ["polytope", "x^2+y^3+z^5", "--vars", "x,y,z", "--lattice"],
+    ]
+    first = [(cli.run(argv), capsys.readouterr()) for argv in argvs]
+    second = [(cli.run(argv), capsys.readouterr()) for argv in argvs]
+    assert first == second
+    assert [code for code, _ in first] == [0, 0, 0, 0, 2, 0]
+    assert all(out for code, (out, _) in first if code == 0)
+
+
 def test_output_file(capsys, tmp_path):
     target = tmp_path / "out.json"
     argv = ["check", "x+y", "--vars", "x,y", "--output", str(target)]

@@ -1,11 +1,12 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from wellpoised import linalg
-from oracles import gauss_solve_unique, rank_by_minors
+from oracles import gauss_solve_unique, rank_by_minors, simplex_fraction
 
 
 def test_rref_identity_like():
@@ -162,6 +163,116 @@ def test_simplex_redundant_rows():
     status, x = linalg.simplex([0, 0, -1], rows, [1, 2, 0, 3])
     assert status == linalg.OPTIMAL
     assert x == (1, 0, 3)
+
+
+def random_entry(rng, bound=4):
+    if rng.random() < 0.7:
+        return rng.randint(-bound, bound)
+    return Fraction(rng.randint(-bound, bound), rng.choice([2, 3, 5]))
+
+
+def random_lp(rng):
+    """A small LP: rational entries, planted or random (often negative) rhs,
+    now and then a zero row or a rational multiple of another row."""
+    n = rng.randint(1, 6)
+    rows = [[random_entry(rng) for _ in range(n)] for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.5:  # feasible by construction, often degenerate
+        point = [rng.choice([0, 0, 1, 2, Fraction(1, 2)]) for _ in range(n)]
+        rhs = [sum(a * x for a, x in zip(row, point)) for row in rows]
+    else:
+        rhs = [random_entry(rng, 6) for _ in rows]
+    if rng.random() < 0.3:
+        rows.append([0] * n)
+        rhs.append(rng.choice([0, 0, 1]))
+    if rng.random() < 0.3:
+        i, k = rng.randrange(len(rows)), Fraction(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2]))
+        rows.append([k * a for a in rows[i]])
+        rhs.append(k * rhs[i])
+    cost = [random_entry(rng) for _ in range(n)]
+    return cost, rows, rhs
+
+
+def test_simplex_matches_fraction_oracle():
+    # same status and same vertex as a Fraction-tableau Bland simplex: on
+    # degenerate inputs an equal vertex means the pivot path is the same
+    rng = random.Random(31)
+    statuses = []
+    for _ in range(400):
+        cost, rows, rhs = random_lp(rng)
+        status, x = linalg.simplex(cost, rows, rhs)
+        assert (status, x) == simplex_fraction(cost, rows, rhs)
+        assert x is None or all(type(v) is Fraction for v in x)
+        statuses.append(status)
+    for status in (linalg.OPTIMAL, linalg.INFEASIBLE, linalg.UNBOUNDED):
+        assert statuses.count(status) >= 40
+    # Beale's LP with the fourth row that starts Phase I on the cycling tableau
+    cost = [Fraction(-3, 4), 150, Fraction(-1, 50), 6, 0, 0, 0]
+    rows = [
+        [Fraction(1, 4), -60, Fraction(-1, 25), 9, 1, 0, 0],
+        [Fraction(1, 2), -90, Fraction(-1, 50), 3, 0, 1, 0],
+        [0, 0, 1, 0, 0, 0, 1],
+    ]
+    fourth = [-c - sum(r[j] for r in rows) for j, c in enumerate(cost)]
+    for lp in ((cost, rows, [0, 0, 1]), ([0] * 7, rows + [fourth], [0, 0, 1, 0])):
+        assert linalg.simplex(*lp) == simplex_fraction(*lp)
+
+
+def rational_gauss_jordan_row(m, r, c, i):
+    """Row i after a rational pivot on (r, c) that scales row r to 1."""
+    pivot_row = [Fraction(x, m[r][c]) for x in m[r]]
+    if i == r:
+        return pivot_row
+    return [x - m[i][c] * y for x, y in zip(m[i], pivot_row)]
+
+
+def test_pivot_rows_are_primitive_positive_multiples():
+    rng = random.Random(37)
+    for _ in range(60):
+        width = rng.randint(2, 7)
+        m = [[rng.randint(-9, 9) for _ in range(width)] for _ in range(rng.randint(2, 6))]
+        r = 0
+        for c in range(width):
+            row = next((i for i in range(r, len(m)) if m[i][c]), None)
+            if row is None:
+                continue
+            m[r], m[row] = m[row], m[r]
+            before = [list(x) for x in m]
+            linalg._pivot(m, r, c)
+            assert m[r][c] > 0
+            for i, new in enumerate(m):
+                expected = rational_gauss_jordan_row(before, r, c, i)
+                k = next((Fraction(x) / y for x, y in zip(new, expected) if y), None)
+                if k is None:
+                    assert not any(new)
+                else:
+                    assert k > 0 and all(x == k * y for x, y in zip(new, expected))
+                if i != r and before[i][c]:  # changed rows are primitive
+                    assert math.gcd(*new) in (0, 1)
+            r += 1
+
+
+def test_rref_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(41)
+    for _ in range(150):
+        width = rng.randint(1, 6)
+        rows = [[random_entry(rng, 5) for _ in range(width)] for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.3:
+            rows.insert(rng.randrange(len(rows) + 1), [0] * width)
+        if rng.random() < 0.3:
+            j = rng.randrange(width)
+            for row in rows:
+                row[j] = 0
+        if rng.random() < 0.3:  # negative leading entries
+            rows = [[-abs(Fraction(x)) if x else x for x in row] for row in rows]
+        reduced, pivots = linalg.rref(rows)
+        expected, expected_pivots = sympy.Matrix(rows).rref()
+        assert pivots == list(expected_pivots)
+        assert reduced == [
+            tuple(Fraction(int(x.p), int(x.q)) for x in expected.row(i))
+            for i in range(len(pivots))
+        ]
+        assert all(type(x) is Fraction for row in reduced for x in row)
 
 
 def test_nonnegative_solution_exists():
