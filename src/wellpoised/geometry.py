@@ -109,16 +109,16 @@ def lattice_points(p: LatticePolytope) -> list[Exponent]:
     if rank == k:
         signs = [linalg.integer_scaled(row[k:]) for row in reduced[:k]]
 
-        def keep(pt: tuple[int, ...]) -> bool:
+        def inside(pt: tuple[int, ...]) -> bool:
             b = pt + (1,)
             return all(sum(a * x for a, x in zip(row, b)) >= 0 for row in signs)
 
     else:
-        keep = p.contains
+        inside = p.contains
     hull = reduced[rank:]
     bounds = [(math.ceil(min(c)), math.floor(max(c))) for c in zip(*p.vertices)]
-    points = linalg.integer_points([r[k:-1] for r in hull], [-r[-1] for r in hull], bounds, keep)
-    return sorted(points, key=graded_lex_key)
+    points = linalg.integer_points([r[k:-1] for r in hull], [-r[-1] for r in hull], bounds)
+    return sorted(filter(inside, points), key=graded_lex_key)
 
 
 @dataclass(frozen=True)

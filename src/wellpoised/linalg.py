@@ -2,7 +2,8 @@
 
 Inputs are plain sequences of ``fractions.Fraction`` (or ints).  The systems
 in this package are tiny, so Gauss-Jordan elimination, one simplex kernel
-(Bland's rule, so it cannot cycle) and one integer-point kernel run exactly
+(Bland's rule, so it cannot cycle) and one integer-point kernel (a pruned
+depth-first search, the only integer search in the package) run exactly
 instead of through floating-point solvers: every answer is exact and every
 certificate is checkable.  All of them share one pivot step that runs
 fraction-free on integer rows (each row scaled by the lcm of its
@@ -12,10 +13,9 @@ entries); answers come back as ``Fraction``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 Scalar = int | Fraction
 Vector = tuple[Fraction, ...]
@@ -201,36 +201,60 @@ def nonnegative_solution_exists(rows, rhs) -> bool:
     return simplex([0] * len(rows[0]), rows, rhs)[0] != INFEASIBLE
 
 
-def integer_points(rows, rhs, bounds, keep=None) -> list[tuple[int, ...]]:
-    """The integer x with rows . x = rhs and lo <= x[j] <= hi for each (lo, hi)
-    in bounds, and keep(x) true when keep is given, in scan order.
+def integer_points(rows, rhs, bounds) -> Iterator[tuple[int, ...]]:
+    """Yield the integer x with rows . x = rhs and lo <= x[j] <= hi for each
+    (lo, hi) in bounds, in lexicographic order of the free coordinates.
 
-    Only the free columns of the rref of [rows | rhs] are scanned.  Each pivot
-    coordinate is solved from its integer-scaled row by divmod; a remainder or
-    a value out of bounds drops the candidate.
+    A depth-first search (project and lift) fixes the free columns of the
+    rref of [rows | rhs] one at a time.  It narrows each free coordinate's
+    range to the values that still let every pivot coordinate land inside
+    its bounds, given the terms already fixed and the least and greatest
+    sums the later terms can take.  Each pivot coordinate is then solved
+    from its integer-scaled row by divmod; a remainder drops the candidate.
     """
     n = len(bounds)
     reduced, pivots = _echelon([[*row, b] for row, b in zip(rows, rhs)])
     if n in pivots:  # pivot in the rhs column: inconsistent
-        return []
+        return
     free = [j for j in range(n) if j not in pivots]
-    # den * x[c] + coeffs . x[free] = b, with den = row[c] > 0
-    solved = [(c, s[c], [s[j] for j in free], s[-1]) for s, c in zip(reduced, pivots)]
-    out, x = [], [0] * n
-    for point in itertools.product(*(range(bounds[j][0], bounds[j][1] + 1) for j in free)):
-        for c, den, coeffs, b in solved:
-            q, r = divmod(b - sum(a * v for a, v in zip(coeffs, point)), den)
-            if r or not bounds[c][0] <= q <= bounds[c][1]:
-                break
-            x[c] = q
-        else:
-            if solved:  # the scan holds the free coordinates only
-                for j, v in zip(free, point):
-                    x[j] = v
-                point = tuple(x)
-            if keep is None or keep(point):
-                out.append(point)
-    return out
+    # den * x[c] + coeffs . x[free] = b, with den = s[c] > 0
+    dens = [s[c] for s, c in zip(reduced, pivots)]
+    coeffs = [[s[j] for s in reduced] for j in free]
+    # reach[t]: per pivot row, the least and greatest values that
+    # den * x[c] plus the terms of free columns t, t+1, ... take in the bounds
+    reach = [[(d * bounds[c][0], d * bounds[c][1]) for d, c in zip(dens, pivots)]]
+    for j, column in zip(reversed(free), reversed(coeffs)):
+        lo, hi = bounds[j]
+        reach.insert(0, [(least + min(a * lo, a * hi), most + max(a * lo, a * hi))
+                         for a, (least, most) in zip(column, reach[0])])
+    x = [0] * n
+
+    def search(t: int, rest: list[int]) -> Iterator[tuple[int, ...]]:
+        # every rest[i] lies within reach[t][i]
+        if t == len(free):
+            for c, d, r in zip(pivots, dens, rest):
+                x[c], remainder = divmod(r, d)
+                if remainder:
+                    return
+            yield tuple(x)
+            return
+        lo, hi = bounds[free[t]]
+        column = coeffs[t]
+        for a, r, (least, most) in zip(column, rest, reach[t + 1]):
+            # keep r - a * v within [least, most]
+            if a > 0:
+                lo, hi = max(lo, -((most - r) // a)), min(hi, (r - least) // a)
+            elif a < 0:
+                lo, hi = max(lo, -((least - r) // a)), min(hi, (r - most) // a)
+        for v in range(lo, hi + 1):
+            x[free[t]] = v
+            yield from search(t + 1, [r - a * v for a, r in zip(column, rest)])
+
+    b = [s[-1] for s in reduced]
+    # search's invariant at the root: the only check of rows with no free
+    # term, and the whole bound check when no column is free
+    if all(least <= r <= most for r, (least, most) in zip(b, reach[0])):
+        yield from search(0, b)
 
 
 def integer_scaled(row: Sequence[Scalar]) -> tuple[int, ...]:

@@ -95,36 +95,14 @@ def _positive_functional(vectors: Sequence[Point]) -> Optional[tuple[Fraction, .
     return tuple(x[j] - x[dim + j] for j in range(dim))
 
 
-def _in_semigroup(target: Point, generators: Sequence[Point], phi) -> bool:
-    # bounded search: phi is strictly positive on every generator
-    def value(v) -> Fraction:
-        return sum(p * Fraction(x) for p, x in zip(phi, v))
-
-    def descend(idx: int, remainder: tuple[Fraction, ...]) -> bool:
-        if all(x == 0 for x in remainder):
-            return True
-        if idx == len(generators):
-            return False
-        budget = value(remainder)
-        if budget < 0:
-            return False
-        gen = generators[idx]
-        step = value(gen)
-        max_count = int(budget / step)
-        for count in range(max_count + 1):
-            rest = tuple(r - count * Fraction(g) for r, g in zip(remainder, gen))
-            if descend(idx + 1, rest):
-                return True
-        return False
-
-    return descend(0, tuple(Fraction(x) for x in target))
-
-
 def minimal_semigroup_generators(vectors: Iterable[Sequence]) -> tuple[Point, ...]:
-    """Irredundant subset of the given generators, found by bounded search.
+    """Irredundant subset of the given generators.
 
-    Requires a linear functional strictly positive on every generator (so the
-    generated semigroup is pointed and the minimal set is unique).
+    Requires a linear functional phi strictly positive on every generator (so
+    the generated semigroup is pointed and the minimal set is unique).  A
+    generator g is dropped when g = sum of c_h * h over the other kept
+    generators h with integers c_h >= 0; phi bounds each c_h by
+    phi(g) / phi(h), and the integer-point kernel stops at the first such c.
     """
     gens = sorted({canonical_point(v) for v in vectors}, key=graded_lex_key)
     phi = _positive_functional(gens)
@@ -132,12 +110,15 @@ def minimal_semigroup_generators(vectors: Iterable[Sequence]) -> tuple[Point, ..
         raise PreconditionError(
             "no strictly positive functional; minimal generators are undefined"
         )
+
+    def value(v) -> Fraction:
+        return sum(p * x for p, x in zip(phi, v))
+
     kept = list(gens)
     for g in gens:
-        if g not in kept:
-            continue
         others = [h for h in kept if h != g]
-        if others and _in_semigroup(g, others, phi):
+        bounds = [(0, math.floor(value(g) / value(h))) for h in others]
+        if others and next(linalg.integer_points(list(zip(*others)), g, bounds), None) is not None:
             kept = others
     return tuple(kept)
 
@@ -281,8 +262,9 @@ def equality_polytope_vertices(
 ) -> list[Point]:
     """Vertices of {a >= 0 : row . a = target for all constraints}.
 
-    Every subset of coordinates is pinned to zero in turn; uniquely solvable
-    non-negative solutions of the remaining square system are the vertices.
+    The vertices are the basic feasible solutions: for every set of
+    rank-many columns, a unique non-negative solution supported on those
+    columns is a vertex.
     """
     if not constraints:
         raise PreconditionError("at least one constraint row is required")
@@ -291,22 +273,14 @@ def equality_polytope_vertices(
     if any(len(r) != n for r in rows):
         raise PreconditionError("constraint row length differs from dimension")
     found = set()
-    for r in range(n + 1):
-        for zeros in itertools.combinations(range(n), r):
-            free = [j for j in range(n) if j not in zeros]
-            if free:
-                system = [[row[j] for j in free] for row in rows]
-                sol = linalg.solve_unique(system, targets)
-                if sol is None or any(x < 0 for x in sol):
-                    continue
-                point = [Fraction(0)] * n
-                for j, value in zip(free, sol):
-                    point[j] = value
-            else:
-                if any(t != 0 for t in targets):
-                    continue
-                point = [Fraction(0)] * n
-            found.add(canonical_point(point))
+    for basis in itertools.combinations(range(n), linalg.rank(rows)):
+        sol = linalg.solve_unique([[row[j] for j in basis] for row in rows], targets)
+        if sol is None or any(x < 0 for x in sol):
+            continue
+        point = [Fraction(0)] * n
+        for j, value in zip(basis, sol):
+            point[j] = value
+        found.add(canonical_point(point))
     return sorted(found, key=graded_lex_key)
 
 

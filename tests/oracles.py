@@ -2,8 +2,10 @@
 
 Deliberately separate from the library code paths: hull membership goes
 through exhaustive Caratheodory subsets, rank through explicit minors,
-solving through a standalone elimination routine, and linear programs
-through a simplex over a Fraction tableau.
+solving through a standalone elimination routine, linear programs through a
+simplex over a Fraction tableau, polytope vertices through every subset of
+zero coordinates, and minimal semigroup generators through the closure of
+{0} under adding generators.
 """
 
 from __future__ import annotations
@@ -192,6 +194,56 @@ def in_hull_facets(generators):
         return all(sum(a * x for a, x in zip(normal, point)) <= offset for normal, offset in facets)
 
     return contains
+
+
+def polytope_vertices_by_zero_sets(rows, targets, n):
+    """Vertices of {a >= 0 : rows . a = targets}, by pinning every subset of
+    coordinates to zero in turn: a unique non-negative solution of the
+    remaining system is a vertex."""
+    found = set()
+    for size in range(n + 1):
+        for zeros in itertools.combinations(range(n), size):
+            free = [j for j in range(n) if j not in zeros]
+            point = [Fraction(0)] * n
+            if free:
+                sol = gauss_solve_unique([[row[j] for j in free] for row in rows], targets)
+                if sol is None or any(x < 0 for x in sol):
+                    continue
+                for j, value in zip(free, sol):
+                    point[j] = value
+            elif any(t != 0 for t in targets):
+                continue
+            found.add(tuple(point))
+    return found
+
+
+def minimal_generators_by_closure(generators, phi):
+    """The generators that are no sum of two or more generators.
+
+    phi must be positive on every generator.  {0} is closed under adding
+    generators, keeping the sums whose phi value stays at most the largest
+    phi of a generator; g is redundant when g - h is a nonzero sum for some
+    generator h.
+    """
+    gens = {tuple(Fraction(x) for x in g) for g in generators}
+
+    def value(v):
+        return sum(Fraction(p) * x for p, x in zip(phi, v))
+
+    limit = max(value(g) for g in gens)
+    zero = tuple(Fraction(0) for _ in next(iter(gens)))
+    sums, frontier = {zero}, [zero]
+    while frontier:
+        grown = {tuple(a + b for a, b in zip(s, g)) for s in frontier for g in gens}
+        frontier = [s for s in grown if s not in sums and value(s) <= limit]
+        sums.update(frontier)
+    return {
+        g
+        for g in gens
+        if not any(
+            (d := tuple(a - b for a, b in zip(g, h))) != zero and d in sums for h in gens
+        )
+    }
 
 
 def triangulation_area(cycle) -> Fraction:

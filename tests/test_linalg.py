@@ -296,79 +296,131 @@ def test_solve_affine_requires_rows():
         linalg.solve_affine([], [])
 
 
-def box_scan(rows, rhs, bounds, keep=None):
-    """Every point of the integer box that satisfies the equalities and keep."""
+def box_scan(rows, rhs, bounds):
+    """Every point of the integer box that satisfies the equalities."""
     return [
         x
         for x in itertools.product(*(range(lo, hi + 1) for lo, hi in bounds))
-        if all(sum(Fraction(a) * v for a, v in zip(row, x)) == b for row, b in zip(rows, rhs))
-        and (keep is None or keep(x))
+        if all(sum(a * v for a, v in zip(row, x)) == b for row, b in zip(rows, rhs))
     ]
+
+
+def free_order(rows, bounds):
+    """Sort key of the kernel's scan: the free coordinates of the rref of rows,
+    in column order (the order of a product scan over them)."""
+    pivots = linalg.rref(rows)[1]
+    free = [j for j in range(len(bounds)) if j not in pivots]
+    return lambda x: [x[j] for j in free]
 
 
 def test_integer_points_hand_cases():
-    # 2x + 4y = 6 reduces to x = 3 - 2y, whole for every y
-    assert sorted(linalg.integer_points([[2, 4]], [6], [(-5, 5), (-5, 5)])) == [
-        (-5, 4),
-        (-3, 3),
-        (-1, 2),
-        (1, 1),
-        (3, 0),
+    # 2x + 4y = 6 reduces to x = 3 - 2y, whole for every y; y runs upward
+    assert list(linalg.integer_points([[2, 4]], [6], [(-5, 5), (-5, 5)])) == [
         (5, -1),
+        (3, 0),
+        (1, 1),
+        (-1, 2),
+        (-3, 3),
+        (-5, 4),
     ]
     # 2x + 3y = 6 keeps the pivot 2 on x: x = (6 - 3y) / 2 is whole for even y
-    assert sorted(linalg.integer_points([[2, 3]], [6], [(-5, 5), (-2, 3)])) == [
-        (0, 2),
+    assert list(linalg.integer_points([[2, 3]], [6], [(-5, 5), (-2, 3)])) == [
         (3, 0),
+        (0, 2),
     ]
     # 4x + 2y = 3 has no integer point at all
-    assert linalg.integer_points([[4, 2]], [3], [(-5, 5), (-5, 5)]) == []
+    assert list(linalg.integer_points([[4, 2]], [3], [(-5, 5), (-5, 5)])) == []
     # x/2 + y/3 = 5/6 with x, y in [0, 9]
-    assert linalg.integer_points(
-        [[Fraction(1, 2), Fraction(1, 3)]], [Fraction(5, 6)], [(0, 9), (0, 9)]
-    ) == [(1, 1)]
+    half_third = [[Fraction(1, 2), Fraction(1, 3)]]
+    assert list(linalg.integer_points(half_third, [Fraction(5, 6)], [(0, 9), (0, 9)])) == [(1, 1)]
     # inconsistent rows, and a zero row with a nonzero rhs
-    assert linalg.integer_points([[1, 1], [2, 2]], [1, 3], [(0, 3), (0, 3)]) == []
-    assert linalg.integer_points([[0, 0]], [1], [(0, 3), (0, 3)]) == []
+    assert list(linalg.integer_points([[1, 1], [2, 2]], [1, 3], [(0, 3), (0, 3)])) == []
+    assert list(linalg.integer_points([[0, 0]], [1], [(0, 3), (0, 3)])) == []
     # zero rows with zero rhs, and no rows at all, leave the whole box
     box = [(-1, 1), (0, 2)]
-    assert linalg.integer_points([[0, 0]], [0], box) == box_scan([], [], box)
-    assert linalg.integer_points([], [], box) == box_scan([], [], box)
+    assert list(linalg.integer_points([[0, 0]], [0], box)) == box_scan([], [], box)
+    assert list(linalg.integer_points([], [], box)) == box_scan([], [], box)
     # an empty bound empties the answer, even on a pivot coordinate
-    assert linalg.integer_points([[1, 1]], [2], [(0, 2), (3, 1)]) == []
-    assert linalg.integer_points([[1, -1]], [0], [(2, 1), (0, 3)]) == []
-    # keep filters the points that pass the equalities
-    kept = linalg.integer_points([[1, 1, 1]], [2], [(0, 2)] * 3, keep=lambda x: x[0] == 1)
+    assert list(linalg.integer_points([[1, 1]], [2], [(0, 2), (3, 1)])) == []
+    assert list(linalg.integer_points([[1, -1]], [0], [(2, 1), (0, 3)])) == []
+    # a square system: no free coordinate, the pivot bounds alone decide
+    assert list(linalg.integer_points([[1, 0], [0, 1]], [2, 3], [(0, 2), (0, 3)])) == [(2, 3)]
+    assert list(linalg.integer_points([[1, 0], [0, 1]], [2, 3], [(0, 2), (0, 2)])) == []
+    # callers filter the points that pass the equalities
+    kept = filter(lambda x: x[0] == 1, linalg.integer_points([[1, 1, 1]], [2], [(0, 2)] * 3))
     assert sorted(kept) == [(1, 0, 1), (1, 1, 0)]
+
+
+def test_integer_points_narrow_negative_free_columns():
+    # x = 1 + 2y: the free y has coefficient -2 in x's row, and the bounds
+    # on y are far wider than the 50 points
+    assert list(linalg.integer_points([[1, -2]], [1], [(0, 100), (-100, 100)])) == [
+        (1 + 2 * y, y) for y in range(50)
+    ]
+    # x = z - y - 3 in [0, 2]: for each y, z runs over y+3..y+5 inside its bounds
+    bounds = [(0, 2), (-50, 50), (-40, 60)]
+    found = list(linalg.integer_points([[1, 1, -1]], [-3], bounds))
+    assert found == [
+        (z - y - 3, y, z) for y in range(-50, 51) for z in range(y + 3, y + 6) if -40 <= z <= 60
+    ]
+    assert found == sorted(box_scan([[1, 1, -1]], [-3], bounds), key=lambda x: x[1:])
+    # the search is lazy: the first point of a huge box comes at once
+    points = linalg.integer_points([[1] * 6], [30], [(0, 10**6)] * 6)
+    assert next(points) == (30, 0, 0, 0, 0, 0)
+    assert next(points) == (29, 0, 0, 0, 0, 1)
+
+
+def _random_system(rng, n, spread):
+    """Up to three rational rows, sometimes a zero row, with a planted point
+    whose rhs is now and then moved; bounds around the point, now and then
+    cutting it off, widen by up to spread on each side."""
+    rows = [
+        [
+            rng.randint(-3, 3)
+            if rng.random() < 0.8
+            else Fraction(rng.randint(-5, 5), rng.choice([2, 3]))
+            for _ in range(n)
+        ]
+        for _ in range(rng.randint(0, 3))
+    ]
+    if rows and rng.random() < 0.2:
+        rows.append([0] * n)  # zero row, consistent or not
+    point = [rng.randint(-2, 2) for _ in range(n)]
+    rhs = [sum(Fraction(a) * v for a, v in zip(row, point)) for row in rows]
+    if rhs and rng.random() < 0.3:
+        rhs[rng.randrange(len(rhs))] += Fraction(rng.randint(-2, 2), rng.choice([1, 2]))
+    bounds = [(v - rng.randint(0, spread), v + rng.randint(-1, spread)) for v in point]
+    return rows, rhs, bounds
 
 
 def test_integer_points_match_box_scan():
     rng = random.Random(23)
     nonempty = 0
     for _ in range(150):
-        n = rng.randint(1, 4)
-        rows = [
-            [
-                rng.randint(-3, 3)
-                if rng.random() < 0.8
-                else Fraction(rng.randint(-5, 5), rng.choice([2, 3]))
-                for _ in range(n)
-            ]
-            for _ in range(rng.randint(0, 3))
-        ]
-        if rows and rng.random() < 0.2:
-            rows.append([0] * n)  # zero row, consistent or not
-        point = [rng.randint(-2, 2) for _ in range(n)]
-        rhs = [sum(Fraction(a) * v for a, v in zip(row, point)) for row in rows]
-        if rhs and rng.random() < 0.3:
-            rhs[rng.randrange(len(rhs))] += Fraction(rng.randint(-2, 2), rng.choice([1, 2]))
-        # bounds around the planted point, now and then cutting it off
-        bounds = [(v - rng.randint(0, 3), v + rng.randint(-1, 3)) for v in point]
-        keep = None if rng.random() < 0.5 else (lambda x: sum(x) % 2 == 0)
-        expected = box_scan(rows, rhs, bounds, keep)
-        found = linalg.integer_points(rows, rhs, bounds, keep)
-        assert sorted(found) == expected
-        assert len(found) == len(set(found))
+        rows, rhs, bounds = _random_system(rng, rng.randint(1, 4), 3)
+        expected = box_scan(rows, rhs, bounds)
+        found = list(linalg.integer_points(rows, rhs, bounds))
+        # the scan runs in the lexicographic order of the free coordinates
+        assert found == sorted(expected, key=free_order(rows, bounds))
         assert all(type(v) is int for x in found for v in x)
         nonempty += bool(expected)
+        if rng.random() < 0.5:  # a caller-side filter keeps the scan order
+            even = lambda x: sum(x) % 2 == 0  # noqa: E731
+            assert list(filter(even, linalg.integer_points(rows, rhs, bounds))) == [
+                x for x in found if even(x)
+            ]
     assert nonempty >= 60
+
+
+def test_integer_points_match_box_scan_in_wide_bounds():
+    rng = random.Random(29)
+    nonempty = 0
+    for _ in range(60):
+        rows, rhs, bounds = _random_system(rng, rng.randint(2, 3), 12)
+        if not rows:
+            continue
+        expected = box_scan(rows, rhs, bounds)
+        found = list(linalg.integer_points(rows, rhs, bounds))
+        assert found == sorted(expected, key=free_order(rows, bounds))
+        nonempty += bool(expected)
+    assert nonempty >= 20

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,12 @@ from wellpoised import (
     valuation_matrix,
     variable_valuations,
 )
-from oracles import random_disjoint_polynomial, triangulation_area
+from oracles import (
+    minimal_generators_by_closure,
+    polytope_vertices_by_zero_sets,
+    random_disjoint_polynomial,
+    triangulation_area,
+)
 
 XYZW = ["x", "y", "z", "w"]
 F = parse("x + y^2 + z*w", XYZW)
@@ -151,6 +157,41 @@ def test_minimal_semigroup_generators():
         minimal_semigroup_generators([(1, 0), (-1, 0)])
 
 
+def test_minimal_semigroup_generators_match_closure_oracle():
+    rng = random.Random(31)
+    dropped = negative = 0
+    for _ in range(60):
+        dim = rng.choice([2, 3])
+        low = -3 if rng.random() < 0.5 else 0
+        # a positive first coordinate makes phi = e_1 positive on every vector
+        vectors = [
+            (rng.randint(1, 4), *(rng.randint(low, 4) for _ in range(dim - 1)))
+            for _ in range(rng.randint(1, 12))
+        ]
+        gens = minimal_semigroup_generators(vectors)
+        expected = minimal_generators_by_closure(vectors, (1,) + (0,) * (dim - 1))
+        assert set(gens) == expected
+        assert len(gens) == len(expected)
+        dropped += len(set(vectors)) - len(gens)
+        negative += low < 0 and len(gens) < len(set(vectors))
+    assert dropped >= 30 and negative >= 5
+
+
+def test_minimal_semigroup_generators_slow_instance():
+    # the second draw of 14 vectors after random.seed(5): every vector is
+    # minimal, so each membership test exhausts its search.  An unpruned
+    # search over the coefficients took about 24 s here.
+    rng = random.Random(5)
+    draws = [
+        [(rng.randint(1, 12), rng.randint(0, 12), rng.randint(0, 12)) for _ in range(14)]
+        for _ in range(2)
+    ]
+    start = time.perf_counter()
+    gens = minimal_semigroup_generators(draws[1])
+    assert time.perf_counter() - start < 2
+    assert set(gens) == minimal_generators_by_closure(draws[1], (1, 1, 1)) == set(draws[1])
+
+
 def test_nok_body_example():
     body = nok_body(F, (2, 1, 1, 1), (2, 3))
     assert set(body.points) == {
@@ -248,6 +289,32 @@ def test_equality_polytope_vertices_del_pezzo():
         assert all(x >= 0 for x in v)
         assert v[0] - v[1] - v[3] + v[4] == 0
         assert v[0] + v[1] + v[2] + 2 * v[4] == 6
+
+
+def test_equality_polytope_vertices_match_zero_set_oracle():
+    rng = random.Random(37)
+    kinds = set()
+    for _ in range(120):
+        n = rng.randint(1, 6)
+        rows = [[rng.randint(-2, 3) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+        kind = rng.choice(["planted", "redundant", "zero", "zero target", "any"])
+        point = [rng.randint(0, 3) for _ in range(n)]
+        if kind == "redundant":
+            rows.append([2 * a - b for a, b in zip(rows[0], rows[-1])])
+        elif kind == "zero":
+            rows.append([0] * n)
+        elif kind == "zero target":
+            point = [0] * n
+        targets = [sum(a * v for a, v in zip(row, point)) for row in rows]
+        if kind == "any":  # often infeasible
+            targets = [rng.randint(-3, 6) for _ in rows]
+        expected = polytope_vertices_by_zero_sets(rows, targets, n)
+        vertices = equality_polytope_vertices(list(zip(rows, targets)), n)
+        assert set(vertices) == expected
+        assert len(vertices) == len(expected)
+        kinds.add((kind, bool(expected)))
+    assert ("any", False) in kinds and ("any", True) in kinds
+    assert ("zero target", True) in kinds
 
 
 def test_projected_bodies_reproduce_planar_figures():
