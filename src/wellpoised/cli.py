@@ -115,12 +115,13 @@ def _cmd_polytope(args) -> dict:
     p = geometry.newton_polytope(f)
     doc = serialize.polytope_json(p)
     doc["simplex"] = geometry.is_simplex(p)
+    # The witness's census is the lattice census, in the same order.
+    report = geometry.minkowski_decomposition_witness(p) if args.minkowski else None
     if args.lattice:
-        doc["lattice_points"] = serialize.encode_matrix(geometry.lattice_points(p))
-    if args.minkowski:
-        doc["minkowski"] = serialize.minkowski_json(
-            geometry.minkowski_decomposition_witness(p)
-        )
+        points = geometry.lattice_points(p) if report is None else report.census
+        doc["lattice_points"] = serialize.encode_matrix(points)
+    if report is not None:
+        doc["minkowski"] = serialize.minkowski_json(report)
     return doc
 
 
@@ -292,8 +293,12 @@ def run(argv: Sequence[str]) -> int:
         else serialize.render_table(doc)
     )
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            _emit_error("validation_error", f"cannot write output file: {exc}")
+            return EXIT_VALIDATION
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -2,13 +2,15 @@
 
 Integers are emitted as bare JSON numbers; non-integral rationals become
 "p/q" strings so nothing is ever rounded.  Key order is fixed so identical
-inputs always produce byte-identical documents.
+inputs always produce byte-identical documents.  The text is byte for byte
+that of ``json.dumps(doc, indent=2)``, written by a writer that handles only
+the value types documents hold.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .fan import TropicalCone
@@ -24,6 +26,7 @@ from .polynomial import (
 )
 
 SCHEMA_VERSION = 1
+_INT = {int}
 
 
 def encode_scalar(x):
@@ -36,6 +39,8 @@ def encode_scalar(x):
 
 
 def encode_vector(v: Sequence) -> list:
+    if set(map(type, v)) <= _INT:  # exact types: a bool is not an int here
+        return list(v)
     return [encode_scalar(x) for x in v]
 
 
@@ -118,7 +123,47 @@ def document(payload: dict) -> dict:
 
 
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """The bytes of ``json.dumps(doc, indent=2) + "\\n"``.
+
+    Handles dicts with str keys, lists, tuples, str, exact int, bool and
+    None; anything else (float and Fraction included) raises TypeError.
+    A list of exact ints is rendered once per call and depth: a cone list
+    repeats the same lineality rows and rays in every cone.
+    """
+    memo: dict[tuple, str] = {}
+
+    def write(value, pad: str) -> str:
+        t = type(value)
+        if t is str:
+            return encode_basestring_ascii(value)
+        if t is int:
+            return int.__repr__(value)
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if t is not dict and t is not list and t is not tuple:
+            raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+        if not value:
+            return "{}" if t is dict else "[]"
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if t is dict:
+            body = sep.join(
+                f"{encode_basestring_ascii(k)}: {write(v, inner)}" for k, v in value.items()
+            )
+            return f"{{\n{inner}{body}\n{pad}}}"
+        if set(map(type, value)) <= _INT:
+            key = (tuple(value), pad)
+            text = memo.get(key)
+            if text is None:
+                text = memo[key] = f"[\n{inner}{sep.join(map(int.__repr__, value))}\n{pad}]"
+            return text
+        return f"[\n{inner}{sep.join(write(v, inner) for v in value)}\n{pad}]"
+
+    return write(doc, "") + "\n"
 
 
 def render_table(doc: dict) -> str:

@@ -199,15 +199,23 @@ def test_parse_error_exit_code(capsys):
         assert json.loads(err)["error"]["code"] == "parse_error"
 
 
-def test_validation_error_exit_code(capsys):
-    code, _, err = run_cli(capsys, ["matrix", "x+y", "--vars", "x,y"])
-    assert code == 2
-    assert json.loads(err)["error"]["code"] == "validation_error"
+def test_validation_error_exit_code(capsys, tmp_path):
+    unwritable = str(tmp_path / "missing" / "out.json")
+    for argv in (
+        ["matrix", "x+y", "--vars", "x,y"],
+        ["check", "x", "--vars", "x", "--output", unwritable],
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"]["code"] == "validation_error"
 
 
 def test_precondition_exit_code(capsys):
     for argv in (
         ["trop", "x+y^2+1", "--vars", "x,y,z"],
+        # a square is not a simplex: no witness, and no census printed either
+        ["polytope", "1+x+y+x*y", "--vars", "x,y", "--lattice", "--minkowski"],
         # x + y = -1 has no non-negative solution: the polytope is empty
         ["project", "--rows", "1,1", "--eq-rows", "1,1", "--eq-targets", "-1", "--dim", "2"],
     ):

@@ -1,0 +1,109 @@
+"""`serialize.dumps` writes the bytes of `json.dumps(doc, indent=2)`.
+
+`json.dumps` with `indent=2` is the oracle: every test compares the writer's
+text with it, on CLI documents, on large cone lists and on random trees.
+"""
+
+import json
+import re
+import shlex
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from wellpoised import cli, fan, serialize
+from wellpoised.polynomial import parse
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def oracle(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def readme_examples() -> list[list[str]]:
+    """The argument lists of the `wellpoised ...` lines in the README's CLI block."""
+    block = re.search(r"## CLI.*?```sh\n(.*?)```", README.read_text(), re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.strip()]
+
+
+def chain_polynomial(k: int):
+    """x0*x1 + x2^2*x3 + ... with k terms."""
+    terms = [f"x{2 * i}^{i + 1}*x{2 * i + 1}" if i else "x0*x1" for i in range(k)]
+    return parse("+".join(terms), [f"x{j}" for j in range(2 * k)])
+
+
+def test_every_readme_example_is_the_oracle_text(monkeypatch, capsys):
+    examples = readme_examples()
+    assert len(examples) == 11
+    docs = []
+    real = serialize.dumps
+    monkeypatch.setattr(serialize, "dumps", lambda doc: docs.append(doc) or real(doc))
+    for argv in examples:
+        assert cli.run(argv) == 0, argv
+        out = capsys.readouterr().out
+        assert out == oracle(docs[-1]), argv
+    assert len(docs) == len(examples)
+
+
+@pytest.mark.parametrize("k", range(8, 13))
+def test_chain_cone_lists_are_the_oracle_text(k):
+    cones = fan.tropical_variety(chain_polynomial(k))
+    assert len(cones) == 2**k - k - 1
+    doc = serialize.document({"cones": [serialize.cone_json(c) for c in cones]})
+    assert serialize.dumps(doc) == oracle(doc)
+
+
+def test_same_int_row_at_two_depths():
+    row = [1, -2, 3]
+    doc = {"a": row, "b": {"c": row, "d": [row, (1, -2, 3)]}, "e": [[[row]]]}
+    assert serialize.dumps(doc) == oracle(doc)
+
+
+def test_bools_never_print_as_ints():
+    for doc in ([[1, 1], [1, True]], [[1, True], [1, 1]], [(0, False), (0, 0)], [True, 1]):
+        assert serialize.dumps(doc) == oracle(doc)
+    assert "true" in serialize.dumps([[1, 1], [1, True]])
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"a": Fraction(1, 2)}, {"a": 1.0}, [1, 2.0], [[1.5]], {"a": [Fraction(3)]}],
+)
+def test_non_schema_values_raise_type_error(doc):
+    with pytest.raises(TypeError):
+        serialize.dumps(doc)
+
+
+TRICKY = st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\t", "é", " ", "\U0001f600", "/"])
+strings = st.text(alphabet=TRICKY | st.characters(), max_size=8)
+ints = st.integers() | st.integers(min_value=2**64, max_value=2**80) | st.integers(max_value=-(2**64))
+# Few distinct short rows, so the same row recurs at different depths.
+rows = st.lists(st.integers(-2, 2), max_size=3)
+leaves = st.none() | st.booleans() | ints | strings | rows | rows.map(tuple)
+trees = st.recursive(
+    leaves,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(strings, children, max_size=4)
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(trees)
+def test_random_trees_are_the_oracle_text(doc):
+    assert serialize.dumps(doc) == oracle(doc)
+
+
+def test_encode_vector_keeps_ints_and_reduces_rationals():
+    assert serialize.encode_vector((1, -2, 2**70)) == [1, -2, 2**70]
+    assert serialize.encode_vector((Fraction(4, 2), Fraction(1, 3))) == [2, "1/3"]
+    assert serialize.encode_vector([]) == []
+    out = serialize.encode_vector((True, 0))
+    assert out == [1, 0] and [type(x) for x in out] == [int, int]
