@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import fan, geometry, okounkov, serialize
-from .polynomial import ParseError, PreconditionError, SparsePolynomial, parse
+from .polynomial import ParseError, PreconditionError, SparsePolynomial, is_well_poised, parse
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -54,18 +54,14 @@ def _parse_rows(text: str) -> list[tuple[Fraction, ...]]:
     return [_parse_vector(r) for r in rows]
 
 
-def _parse_subset(text: str) -> tuple[int, ...]:
+_SUBSET_ERROR = "subset must be comma-separated integers"
+
+
+def _parse_ints(text: str, message: str) -> tuple[int, ...]:
     try:
         return tuple(int(p) for p in text.split(",") if p.strip())
     except ValueError as exc:
-        raise UsageError(f"subset must be comma-separated integers: {text!r}") from exc
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p) for p in text.split(",") if p.strip())
-    except ValueError as exc:
-        raise UsageError(f"expected comma-separated integers: {text!r}") from exc
+        raise UsageError(f"{message}: {text!r}") from exc
 
 
 def _load_points(path: str) -> list[tuple[Fraction, ...]]:
@@ -105,8 +101,6 @@ def _constraints(args) -> tuple[list, int]:
 
 def _cmd_check(args) -> dict:
     f = _polynomial(args)
-    from .polynomial import is_well_poised
-
     return serialize.report_json(is_well_poised(f), f.variables)
 
 
@@ -119,7 +113,7 @@ def _cmd_polytope(args) -> dict:
     report = geometry.minkowski_decomposition_witness(p) if args.minkowski else None
     if args.lattice:
         points = geometry.lattice_points(p) if report is None else report.census
-        doc["lattice_points"] = serialize.encode_matrix(points)
+        doc["lattice_points"] = points
     if report is not None:
         doc["minkowski"] = serialize.minkowski_json(report)
     return doc
@@ -136,8 +130,8 @@ def _cmd_trop(args) -> dict:
         weight = _parse_vector(args.classify)
         subset = fan.classify_weight(f, weight)
         return {
-            "weight": serialize.encode_vector(weight),
-            "S": list(subset),
+            "weight": weight,
+            "S": subset,
             "in_tropical_variety": fan.in_tropical_variety(f, weight),
         }
     return {"cones": [serialize.cone_json(c) for c in fan.tropical_variety(f)]}
@@ -147,24 +141,21 @@ def _cmd_matrix(args) -> dict:
     f = _polynomial(args)
     if args.S is None:
         raise UsageError("--S is required")
-    m = okounkov.valuation_matrix(f, _parse_subset(args.S))
+    m = okounkov.valuation_matrix(f, _parse_ints(args.S, _SUBSET_ERROR))
     return serialize.matrix_json(m, f.variables)
 
 
 def _cmd_nok(args) -> dict:
     f = _polynomial(args)
     if args.cone_row is not None:
-        generators = okounkov.global_nok_cone(f, _parse_vector(args.cone_row))
-        return {
-            "extra_row": serialize.encode_vector(_parse_vector(args.cone_row)),
-            "generators": serialize.encode_matrix(generators),
-        }
+        row = _parse_vector(args.cone_row)
+        return {"extra_row": row, "generators": okounkov.global_nok_cone(f, row)}
     if args.S is None or args.degree is None:
         raise UsageError("either --cone-row or both --S and --degree are required")
-    subset = _parse_subset(args.S)
-    degree = _parse_ints(args.degree)
+    subset = _parse_ints(args.S, _SUBSET_ERROR)
+    degree = _parse_ints(args.degree, "expected comma-separated integers")
     body = okounkov.nok_body(f, degree, subset)
-    doc = {"S": list(sorted(subset)), "degree": list(degree)}
+    doc = {"S": sorted(subset), "degree": degree}
     doc.update(serialize.body_json(body))
     return doc
 
@@ -175,7 +166,7 @@ def _cmd_graded(args) -> dict:
     return {
         "n": n,
         "count": len(component),
-        "exponents": serialize.encode_matrix(component),
+        "exponents": component,
     }
 
 

@@ -204,9 +204,9 @@ def decompose_weight(f: SparsePolynomial, weight: Sequence) -> WeightDecompositi
     """
     _require_fan_input(f)
     w = weight_vector(weight, f.n)
-    s = classify_weight(f, w)
     degrees = _term_degrees(f)
     products, top = weighted_degrees(f, w)
+    s = tuple(i + 1 for i, p in enumerate(products) if p == top)
     rays = []
     ray_coeffs = []
     residual = list(w)

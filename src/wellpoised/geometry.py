@@ -42,7 +42,9 @@ def in_convex_hull(point: Sequence, generators: Sequence[Sequence]) -> bool:
     gens = [canonical_point(g) for g in generators]
     if not gens:
         return False
-    n = len(gens[0])
+    n = len(point)
+    if any(len(g) != n for g in gens):
+        raise PreconditionError("the point and the generators differ in length")
     rows = [[g[r] for g in gens] for r in range(n)]
     rows.append([1] * len(gens))
     rhs = [*point, 1]

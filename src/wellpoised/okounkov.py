@@ -292,6 +292,8 @@ def projected_body(points: Sequence[Sequence], rows: Sequence[Sequence]) -> Okou
     """
     if not points:
         raise PreconditionError("projection needs at least one point")
+    if any(len(x) != len(points[0]) for x in (*points, *rows)):
+        raise PreconditionError("projection rows and points differ in length")
     proj = [tuple(Fraction(x) for x in row) for row in rows]
     images = [
         tuple(sum(r * Fraction(x) for r, x in zip(row, p)) for row in proj)

@@ -1,7 +1,8 @@
 """Canonical JSON encoding of the library's result types.
 
-Integers are emitted as bare JSON numbers; non-integral rationals become
-"p/q" strings so nothing is ever rounded.  Key order is fixed so identical
+Documents hold library values as they are: tuples, ints and ``Fraction``s.
+The writer prints integers and integral rationals as bare JSON numbers and
+other rationals as "p/q" strings, so nothing is ever rounded.  Key order is fixed so identical
 inputs always produce byte-identical documents.  The text is byte for byte
 that of ``json.dumps(doc, indent=2)``, written by a writer that handles only
 the value types documents hold.
@@ -9,6 +10,7 @@ the value types documents hold.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
@@ -29,36 +31,17 @@ SCHEMA_VERSION = 1
 _INT = {int}
 
 
-def encode_scalar(x):
-    if type(x) is int:
-        return x
-    f = Fraction(x)
-    if f.denominator == 1:
-        return int(f)
-    return f"{f.numerator}/{f.denominator}"
-
-
-def encode_vector(v: Sequence) -> list:
-    if set(map(type, v)) <= _INT:  # exact types: a bool is not an int here
-        return list(v)
-    return [encode_scalar(x) for x in v]
-
-
-def encode_matrix(rows: Sequence[Sequence]) -> list[list]:
-    return [encode_vector(r) for r in rows]
-
-
 def report_json(report: WellPoisedReport, variables: Sequence[str]) -> dict:
     witness = None
     if isinstance(report.witness, SharedVariableWitness):
         witness = {
             "shared_variable": variables[report.witness.variable],
-            "terms": list(report.witness.terms),
+            "terms": report.witness.terms,
         }
     elif isinstance(report.witness, CommonFactorWitness):
         witness = {
             "gcd": report.witness.gcd,
-            "terms": list(report.witness.terms),
+            "terms": report.witness.terms,
         }
     return {
         "well_poised": report.well_poised,
@@ -68,40 +51,40 @@ def report_json(report: WellPoisedReport, variables: Sequence[str]) -> dict:
 
 
 def polytope_json(p: LatticePolytope) -> dict:
-    return {"n": p.n, "vertices": encode_matrix(p.vertices)}
+    return {"n": p.n, "vertices": p.vertices}
 
 
 def minkowski_json(report: MinkowskiReport) -> dict:
     return {
         "trivial_only": report.trivial_only,
-        "census": encode_matrix(report.census),
-        "non_vertex_points": encode_matrix(report.non_vertex_points),
+        "census": report.census,
+        "non_vertex_points": report.non_vertex_points,
     }
 
 
 def face_json(face: FaceDescriptor, f: SparsePolynomial) -> dict:
     return {
-        "S": list(face.term_indices),
-        "weight": encode_vector(face.supporting_weight),
+        "S": face.term_indices,
+        "weight": face.supporting_weight,
         "initial_form": to_string(initial_form(f, face.supporting_weight)),
     }
 
 
 def cone_json(c: TropicalCone) -> dict:
     return {
-        "S": list(c.S),
+        "S": c.S,
         "dim": c.dim,
-        "lineality": encode_matrix(c.lineality.rows),
-        "rays": encode_matrix(ray.w for ray in c.rays),
+        "lineality": c.lineality.rows,
+        "rays": [ray.w for ray in c.rays],
     }
 
 
 def matrix_json(m: ValuationMatrix, variables: Sequence[str]) -> dict:
     return {
-        "S": list(m.S),
-        "rows": encode_matrix(m.rows),
+        "S": m.S,
+        "rows": m.rows,
         "valuations": [
-            {"variable": variables[j], "value": encode_vector(col)}
+            {"variable": variables[j], "value": col}
             for j, col in enumerate(m.columns())
         ],
     }
@@ -109,10 +92,10 @@ def matrix_json(m: ValuationMatrix, variables: Sequence[str]) -> dict:
 
 def body_json(body: OkounkovBody) -> dict:
     return {
-        "points": encode_matrix(body.points),
-        "vertices": encode_matrix(body.vertices),
-        "boundary": None if body.boundary is None else encode_matrix(body.boundary),
-        "area": None if body.area is None else encode_scalar(body.area),
+        "points": body.points,
+        "vertices": body.vertices,
+        "boundary": body.boundary,
+        "area": body.area,
     }
 
 
@@ -123,10 +106,12 @@ def document(payload: dict) -> dict:
 
 
 def dumps(doc: dict) -> str:
-    """The bytes of ``json.dumps(doc, indent=2) + "\\n"``.
+    """The bytes of ``json.dumps(doc, indent=2) + "\\n"``, Fractions rendered.
 
-    Handles dicts with str keys, lists, tuples, str, exact int, bool and
-    None; anything else (float and Fraction included) raises TypeError.
+    Handles dicts with str keys, lists, tuples, str, exact int, bool, None
+    and Fraction: its numerator when the denominator is 1, else the string
+    "numerator/denominator" (sign on the numerator).  Anything else, float
+    included, raises TypeError.
     A list of exact ints is rendered once per call and depth: a cone list
     repeats the same lineality rows and rays in every cone.
     """
@@ -138,6 +123,9 @@ def dumps(doc: dict) -> str:
             return encode_basestring_ascii(value)
         if t is int:
             return int.__repr__(value)
+        if t is Fraction:
+            num = int.__repr__(value.numerator)
+            return num if value.denominator == 1 else f'"{num}/{value.denominator}"'
         if value is None:
             return "null"
         if value is True:
@@ -168,6 +156,7 @@ def dumps(doc: dict) -> str:
 
 def render_table(doc: dict) -> str:
     """Human-oriented rendering; not covered by byte-stability guarantees."""
+    doc = json.loads(dumps(doc))
     lines: list[str] = []
 
     def emit(key: Optional[str], value, indent: int) -> None:

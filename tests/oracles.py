@@ -4,16 +4,37 @@ Deliberately separate from the library code paths: hull membership goes
 through exhaustive Caratheodory subsets, rank through explicit minors,
 solving through a standalone elimination routine, linear programs through a
 simplex over a Fraction tableau, polytope vertices through every subset of
-zero coordinates, and minimal semigroup generators through the closure of
-{0} under adding generators.
+zero coordinates, minimal semigroup generators through the closure of {0}
+under adding generators, and the JSON text of a document through the
+standard ``json`` module with the rational rule of ``fraction_text``.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 
 from wellpoised import SparsePolynomial, exponent_gcd
+
+
+def fraction_text(value):
+    """The JSON value of a Fraction: its numerator when integral, else "p/q".
+
+    Meant as the ``default`` of ``json.dumps``: any other type the encoder
+    cannot handle raises TypeError.  The encoder prints floats itself, so
+    the oracle is only for documents without them.
+    """
+    if type(value) is not Fraction:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if value.denominator == 1:
+        return value.numerator
+    return f"{value.numerator}/{value.denominator}"
+
+
+def json_value(doc):
+    """A document as ``json.loads`` reads it back: lists for tuples, rationals as text."""
+    return json.loads(json.dumps(doc, default=fraction_text))
 
 
 def gauss_solve_unique(rows, rhs):

@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
 from wellpoised import cli, serialize
 from wellpoised import fan, geometry, okounkov
 from wellpoised.polynomial import is_well_poised, parse
+
+from oracles import json_value
 
 
 def run_cli(capsys, argv):
@@ -18,7 +25,7 @@ def test_check_matches_library(capsys):
     assert code == 0 and err == ""
     f = parse("x^2+y^3+z^5", ["x", "y", "z"])
     expected = serialize.document(serialize.report_json(is_well_poised(f), f.variables))
-    assert json.loads(out) == expected
+    assert json.loads(out) == json_value(expected)
     assert json.loads(out)["well_poised"] is True
 
 
@@ -37,9 +44,9 @@ def test_polytope_matches_library(capsys):
     f = parse("x^2+y^3+z^5", ["x", "y", "z"])
     p = geometry.newton_polytope(f)
     doc = json.loads(out)
-    assert doc["vertices"] == serialize.polytope_json(p)["vertices"]
+    assert doc["vertices"] == json_value(serialize.polytope_json(p)["vertices"])
     assert doc["simplex"] is True
-    assert doc["lattice_points"] == serialize.encode_matrix(geometry.lattice_points(p))
+    assert doc["lattice_points"] == json_value(geometry.lattice_points(p))
     assert doc["minkowski"]["trivial_only"] is True
 
 
@@ -48,7 +55,7 @@ def test_faces_matches_library(capsys):
     assert code == 0
     f = parse("x+y^2+z*w", ["x", "y", "z", "w"])
     expected = [serialize.face_json(d, f) for d in geometry.faces(f)]
-    assert json.loads(out)["faces"] == expected
+    assert json.loads(out)["faces"] == json_value(expected)
 
 
 def test_trop_matches_library(capsys):
@@ -56,7 +63,7 @@ def test_trop_matches_library(capsys):
     assert code == 0
     f = parse("x+y^2+z*w", ["x", "y", "z", "w"])
     expected = [serialize.cone_json(c) for c in fan.tropical_variety(f)]
-    assert json.loads(out)["cones"] == expected
+    assert json.loads(out)["cones"] == json_value(expected)
 
 
 def test_trop_classify(capsys):
@@ -75,7 +82,7 @@ def test_matrix_matches_library(capsys):
     assert doc["rows"] == [[2, 1, 1, 1], [0, 0, 1, -1], [-1, 0, 0, 0]]
     f = parse("x+y^2+z*w", ["x", "y", "z", "w"])
     m = okounkov.valuation_matrix(f, (2, 3))
-    assert doc == serialize.document(serialize.matrix_json(m, f.variables))
+    assert doc == json_value(serialize.document(serialize.matrix_json(m, f.variables)))
 
 
 def test_nok_body_and_cone(capsys):
@@ -90,7 +97,7 @@ def test_nok_body_and_cone(capsys):
     f = parse("x+y^2+z*w", ["x", "y", "z", "w"])
     body = okounkov.nok_body(f, (2, 1, 1, 1), (2, 3))
     for key, value in serialize.body_json(body).items():
-        assert doc[key] == value
+        assert doc[key] == json_value(value)
 
     argv = [
         "nok", "T1*T2+T3^2+T4*T5", "--vars", "T1,T2,T3,T4,T5",
@@ -140,7 +147,7 @@ def test_project_from_points_file(capsys, tmp_path):
     assert sorted(map(tuple, doc["boundary"])) == [(4, 4), (6, 0), (6, 6), (12, 12)]
     assert doc["area"] == 24
     body = okounkov.projected_body(points, [(1, 1, 1, 1, 1), (1, 1, 0, 1, 1)])
-    assert doc == serialize.document(serialize.body_json(body))
+    assert doc == json_value(serialize.document(serialize.body_json(body)))
 
 
 def test_project_rejects_ragged_points_file(capsys, tmp_path):
@@ -189,6 +196,62 @@ def test_table_format_smoke(capsys):
     assert "well_poised: True" in out
 
 
+# The --format table text of three documents: rational points and a null
+# area, a flat weight vector, and an integer matrix.
+TABLES = {
+    "nok": (
+        ["nok", "x+y^2+z*w", "--vars", "x,y,z,w", "--S", "2,3", "--degree", "2,1,1,1"],
+        """\
+schema_version: 1
+S: [2, 3]
+degree: [2, 1, 1, 1]
+points:
+  [1   0  -1/2]
+  [1   0     0]
+  [1   1     0]
+  [1  -1     0]
+vertices:
+  [1  -1     0]
+  [1   0  -1/2]
+  [1   1     0]
+boundary: None
+area: None
+""",
+    ),
+    "trop": (
+        ["trop", "x+y^2+z*w", "--vars", "x,y,z,w", "--classify", "0,0,-1,-1"],
+        """\
+schema_version: 1
+weight: [0, 0, -1, -1]
+S: [1, 2]
+in_tropical_variety: True
+""",
+    ),
+    "graded": (
+        ["graded", "--eq-rows", "1,-1,0,-1,1;1,1,1,0,2", "--eq-targets", "0,2", "--dim", "5"],
+        """\
+schema_version: 1
+n: 5
+count: 5
+exponents:
+  [1  1  0  0  0]
+  [0  0  2  0  0]
+  [0  0  0  1  1]
+  [1  0  1  1  0]
+  [2  0  0  2  0]
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", TABLES)
+def test_table_format_text(capsys, command):
+    argv, text = TABLES[command]
+    code, out, err = run_cli(capsys, argv + ["--format", "table"])
+    assert code == 0 and err == ""
+    assert out == text
+
+
 def test_parse_error_exit_code(capsys):
     for argv in (
         ["check", "x^2+q", "--vars", "x,y"],
@@ -228,6 +291,116 @@ def test_bad_subcommand_is_validation_error(capsys):
     code, _, err = run_cli(capsys, ["frobnicate"])
     assert code == 2
     assert json.loads(err)["error"]["code"] == "validation_error"
+
+
+MALFORMED = st.sampled_from(["", "a", "1/0", "1,,2", ";"])
+
+
+def mostly(tokens):
+    """Seven draws in eight from tokens, the rest malformed."""
+    return st.sampled_from([True] * 7 + [False]).flatmap(lambda ok: tokens if ok else MALFORMED)
+
+
+def joined(tokens, sep: str, sizes):
+    return mostly(sizes.flatmap(lambda m: st.lists(tokens, min_size=m, max_size=m)).map(sep.join))
+
+
+polynomials = joined(
+    st.lists(
+        st.sampled_from(["x", "y^2", "z", "w^3", "x^2", "z*w", "2", "1/2", "q", "-3"]),
+        min_size=1,
+        max_size=2,
+    ).map("*".join),
+    "+",
+    st.integers(1, 4),
+)
+# Each command with the flags it takes (an unknown command takes none), and
+# whether it takes a polynomial.
+COMMANDS = {
+    "check": ([], True),
+    "polytope": (["--lattice", "--minkowski"], True),
+    "faces": ([], True),
+    "trop": (["--classify"], True),
+    "matrix": (["--S"], True),
+    "nok": (["--S", "--degree", "--cone-row"], True),
+    "graded": (["--eq-rows", "--eq-targets", "--dim"], False),
+    "project": (["--rows", "--eq-rows", "--eq-targets", "--dim"], False),
+    "frobnicate": ([], False),
+}
+
+
+def flag_values(dim: int, n: int, k: int) -> dict:
+    """The value strategy of each flag (None for a switch).  Vectors mostly
+    have n entries and row lists k rows; graded targets stay at most 6 and
+    --dim at most 5, so every enumeration stays small."""
+    entries = st.sampled_from(["1", "0", "2", "1", "3", "1/2", "-1"])
+    vectors = joined(entries, ",", st.sampled_from([n, n, n, 1, 5]))
+    rows = joined(vectors, ";", st.sampled_from([k, k, 1, 3]))
+    indices = st.sampled_from(["1", "2", "3", "2", "0", "5"])
+    return {
+        "--vars": mostly(st.sampled_from(["x,y,z,w", "x,y,z", "w,z,y,x", "x,x"])),
+        "--format": st.sampled_from(["json", "xml"]),
+        "--lattice": None,
+        "--minkowski": None,
+        "--classify": vectors,
+        "--S": joined(indices, ",", st.sampled_from([2, 2, 2, 1, 3])),
+        "--degree": joined(indices, ",", st.sampled_from([n, n, 2])),
+        "--cone-row": vectors,
+        "--eq-rows": rows,
+        "--eq-targets": joined(st.integers(-1, 6).map(str), ",", st.sampled_from([k, k, 3])),
+        "--dim": mostly(st.just(str(dim))),
+        "--rows": rows,
+    }
+
+
+@st.composite
+def argument_lists(draw) -> list[str]:
+    """Mostly the shape a command takes, with values that may be malformed,
+    now and then with a flag of another command."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    own, polynomial = COMMANDS[command]
+    dim = draw(st.integers(-1, 5))
+    values = flag_values(dim, 4 if polynomial else max(dim, 1), draw(st.integers(1, 2)))
+    argv = [command]
+    shaped = draw(st.sampled_from([True] * 7 + [False]))  # or one list in eight breaks it
+    if polynomial == shaped:
+        argv.append(draw(polynomials))
+    flags = [flag for flag in own if draw(st.sampled_from([True] * 7 + [False]))]
+    if polynomial and shaped:
+        flags.append("--vars")
+    if draw(st.sampled_from([False] * 3 + [True])):
+        flags.append(draw(st.sampled_from(sorted(values))))
+    for flag in flags:
+        argv.append(flag)
+        if values[flag] is not None:
+            argv.append(draw(values[flag]))
+    return argv
+
+
+EXIT_CODES = {2: {"validation_error", "parse_error"}, 3: {"precondition_violation"}}
+
+
+# -h/--help is never drawn: argparse answers it with SystemExit(0) by design.
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(argument_lists())
+# Random lists seldom get every flag of these right; one success each.
+@example(["graded", "--eq-rows", "1,1,1;0,1,-1", "--eq-targets", "4,0", "--dim", "3"])
+@example(["project", "--eq-rows", "1,1,2", "--eq-targets", "2", "--dim", "3", "--rows", "1,0,0;0,1,0"])
+@example(["matrix", "x+y^2+z*w", "--vars", "x,y,z,w", "--S", "1,3"])
+def test_every_argument_list_keeps_the_error_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        doc = json.loads(out)
+        assert isinstance(doc, dict) and "schema_version" in doc and err == ""
+        return
+    assert out == "" and err.endswith("\n") and err.count("\n") == 1
+    doc = json.loads(err)
+    assert set(doc) == {"error"} and set(doc["error"]) == {"code", "message"}
+    assert doc["error"]["code"] in EXIT_CODES[code]
+    assert isinstance(doc["error"]["message"], str)
 
 
 def test_module_entry_point_subprocess():

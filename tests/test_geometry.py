@@ -189,6 +189,25 @@ def test_minkowski_witness_requires_simplex():
         minkowski_decomposition_witness(square)
 
 
+@pytest.mark.parametrize(
+    "point, generators",
+    [
+        ((1,), [(0, 1), (2, 1)]),  # would read as 1 in conv{0, 2}, ignoring a coordinate
+        ((0, 0, 5), [(0, 0), (2, 0), (0, 2)]),
+        ((0, 0), [(0, 0), (1, 0, 0)]),  # ragged generators
+    ],
+)
+def test_in_convex_hull_rejects_mismatched_lengths(point, generators):
+    with pytest.raises(PreconditionError):
+        in_convex_hull(point, generators)
+
+
+def test_contains_rejects_a_point_of_another_dimension():
+    triangle = LatticePolytope.from_points([(0, 0), (2, 0), (0, 2)])
+    with pytest.raises(PreconditionError):
+        triangle.contains((0, 0, 5))
+
+
 def test_vertices_subset_of_exponents_and_membership():
     rng = random.Random(3)
     for _ in range(25):

@@ -344,6 +344,19 @@ def test_projected_body_higher_dimensional_image():
     assert len(body.vertices) == 3
 
 
+@pytest.mark.parametrize(
+    "points, rows",
+    [
+        ([(1, 2, 3)], [(1, 1)]),  # would project to ((3,),), ignoring a coordinate
+        ([(1, 2)], [(1, 1, 1)]),
+        ([(1, 2), (1, 2, 3)], [(1, 1)]),  # ragged points
+    ],
+)
+def test_projected_body_rejects_mismatched_lengths(points, rows):
+    with pytest.raises(PreconditionError):
+        projected_body(points, rows)
+
+
 def test_shoelace_matches_triangulation():
     rng = random.Random(89)
     from wellpoised import convex_hull_2d, shoelace_area

@@ -1,7 +1,9 @@
 """`serialize.dumps` writes the bytes of `json.dumps(doc, indent=2)`.
 
-`json.dumps` with `indent=2` is the oracle: every test compares the writer's
-text with it, on CLI documents, on large cone lists and on random trees.
+`json.dumps` with `indent=2`, rendering each `Fraction` by the tests' own
+statement of the rule (`oracles.fraction_text`), is the oracle: every test
+compares the writer's text with it, on CLI documents, on large cone lists and
+on random trees.
 """
 
 import json
@@ -16,11 +18,13 @@ from hypothesis import given, settings, strategies as st
 from wellpoised import cli, fan, serialize
 from wellpoised.polynomial import parse
 
+from oracles import fraction_text
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def oracle(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, default=fraction_text) + "\n"
 
 
 def readme_examples() -> list[list[str]]:
@@ -70,20 +74,38 @@ def test_bools_never_print_as_ints():
 
 
 @pytest.mark.parametrize(
-    "doc",
-    [{"a": Fraction(1, 2)}, {"a": 1.0}, [1, 2.0], [[1.5]], {"a": [Fraction(3)]}],
+    "doc", [{"a": 1.0}, [1, 2.0], [[1.5]], {"a": [Fraction(1, 2), 0.5]}, [[1, 1], [1, 1.0]]]
 )
 def test_non_schema_values_raise_type_error(doc):
     with pytest.raises(TypeError):
         serialize.dumps(doc)
 
 
+def test_fractions_print_as_numbers_or_strings():
+    assert serialize.dumps({"a": Fraction(1, 2)}) == '{\n  "a": "1/2"\n}\n'
+    assert serialize.dumps([Fraction(-1, 3)]) == '[\n  "-1/3"\n]\n'
+    assert serialize.dumps({"a": [Fraction(4, 2)]}) == '{\n  "a": [\n    2\n  ]\n}\n'
+    assert serialize.dumps(Fraction(-2**70, 1)) == f"{-2**70}\n"
+    # a row holding a rational next to an all-int row: neither is taken for the other
+    half = '[\n    1,\n    "1/2"\n  ]'
+    ones = "[\n    1,\n    1\n  ]"
+    assert serialize.dumps([[1, Fraction(1, 2)], [1, 1]]) == f"[\n  {half},\n  {ones}\n]\n"
+    assert serialize.dumps([[1, 1], (1, Fraction(1, 2))]) == f"[\n  {ones},\n  {half}\n]\n"
+
+
 TRICKY = st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\t", "é", " ", "\U0001f600", "/"])
 strings = st.text(alphabet=TRICKY | st.characters(), max_size=8)
 ints = st.integers() | st.integers(min_value=2**64, max_value=2**80) | st.integers(max_value=-(2**64))
+# Integral, negative, non-integral and huge rationals.
+fractions = st.builds(Fraction, ints, st.sampled_from([1, 2, 3, 7]) | st.integers(1, 2**70))
 # Few distinct short rows, so the same row recurs at different depths.
 rows = st.lists(st.integers(-2, 2), max_size=3)
-leaves = st.none() | st.booleans() | ints | strings | rows | rows.map(tuple)
+small = st.sampled_from([Fraction(1, 2), Fraction(-2, 3), Fraction(4, 2)])
+rational_rows = st.lists(st.integers(-2, 2) | small, max_size=3).map(tuple)
+leaves = (
+    st.none() | st.booleans() | ints | fractions | strings
+    | rows | rows.map(tuple) | rational_rows
+)
 trees = st.recursive(
     leaves,
     lambda children: (
@@ -99,11 +121,3 @@ trees = st.recursive(
 @given(trees)
 def test_random_trees_are_the_oracle_text(doc):
     assert serialize.dumps(doc) == oracle(doc)
-
-
-def test_encode_vector_keeps_ints_and_reduces_rationals():
-    assert serialize.encode_vector((1, -2, 2**70)) == [1, -2, 2**70]
-    assert serialize.encode_vector((Fraction(4, 2), Fraction(1, 3))) == [2, "1/3"]
-    assert serialize.encode_vector([]) == []
-    out = serialize.encode_vector((True, 0))
-    assert out == [1, 0] and [type(x) for x in out] == [int, int]
