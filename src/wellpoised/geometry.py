@@ -97,19 +97,20 @@ def is_simplex(p: LatticePolytope) -> bool:
 def lattice_points(p: LatticePolytope) -> list[Exponent]:
     """All integer points of the polytope, in graded-lex order.
 
-    The rows of the rref of [V; 1 | I] (vertices as the columns of V) past
-    the rank of [V; 1] are the affine-hull equations, which the integer-point
-    kernel solves inside the bounding box of the vertices.  For a simplex the
-    first rows give barycentric coordinates, kept when all are non-negative;
-    otherwise the exact hull test decides.
+    The integer echelon rows of [V; 1 | I] (vertices as the columns of V)
+    past the rank of [V; 1] are the affine-hull equations, which the
+    integer-point kernel solves inside the bounding box of the vertices.  For
+    a simplex the first rows give positive multiples of the barycentric
+    coordinates, kept when all are non-negative; otherwise the exact hull
+    test decides.
     """
     k, n = len(p.vertices), p.n
     m = [[*(v[r] for v in p.vertices), *(int(r == c) for c in range(n + 1))] for r in range(n)]
     m.append([1] * k + [0] * n + [1])
-    reduced, pivots = linalg.rref(m)
+    reduced, pivots = linalg.echelon(m)
     rank = sum(c < k for c in pivots)
     if rank == k:
-        signs = [linalg.integer_scaled(row[k:]) for row in reduced[:k]]
+        signs = [row[k:] for row in reduced[:k]]
 
         def inside(pt: tuple[int, ...]) -> bool:
             b = pt + (1,)

@@ -8,7 +8,9 @@ instead of through floating-point solvers: every answer is exact and every
 certificate is checkable.  All of them share one pivot step that runs
 fraction-free on integer rows (each row scaled by the lcm of its
 denominators, cross-multiplied at a pivot and divided by the gcd of its
-entries); answers come back as ``Fraction``.
+entries).  ``echelon`` returns those integer rows; rank, unique solutions
+and the lattice-point equations of ``geometry`` read them directly, and
+answers come back as ``Fraction``.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ def _pivot(m: list[list[int]], r: int, c: int) -> None:
             m[i] = [x // g for x in new] if g > 1 else new
 
 
-def _echelon(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], list[int]]:
+def echelon(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], list[int]]:
     """Integer rows, each a positive multiple of a nonzero row of the rref,
     and the pivot columns."""
     m = [_integer_row(row)[0] for row in rows]
@@ -73,12 +75,12 @@ def _echelon(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], list[in
 
 def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[Vector], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    m, pivots = _echelon(rows)
+    m, pivots = echelon(rows)
     return [tuple(Fraction(x, row[c]) for x in row) for row, c in zip(m, pivots)], pivots
 
 
 def rank(rows: Sequence[Sequence[Scalar]]) -> int:
-    return len(rref(rows)[1])
+    return len(echelon(rows)[1])
 
 
 def row_space_equal(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]) -> bool:
@@ -86,39 +88,15 @@ def row_space_equal(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]
     return rref(a)[0] == rref(b)[0]
 
 
-def solve_affine(rows, rhs) -> Optional[tuple[Vector, list[Vector]]]:
-    """Solve A x = b exactly.
-
-    Returns (particular solution, basis of the null space of A), or None when
-    the system is inconsistent.
-    """
-    if not rows:
-        raise ValueError("solve_affine requires at least one equation")
-    ncols = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    reduced, pivots = rref(aug)
-    if ncols in pivots:  # pivot in the rhs column: inconsistent
-        return None
-    particular = [Fraction(0)] * ncols
-    for row, c in zip(reduced, pivots):
-        particular[c] = row[-1]
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fcol in free:
-        v = [Fraction(0)] * ncols
-        v[fcol] = Fraction(1)
-        for row, c in zip(reduced, pivots):
-            v[c] = -row[fcol]
-        basis.append(tuple(v))
-    return tuple(particular), basis
-
-
 def solve_unique(rows, rhs) -> Optional[Vector]:
     """The unique solution of A x = b, or None (inconsistent or underdetermined)."""
-    sol = solve_affine(rows, rhs)
-    if sol is None or sol[1]:
+    if not rows:
+        raise ValueError("solve_unique requires at least one equation")
+    ncols = len(rows[0])
+    m, pivots = echelon([[*row, b] for row, b in zip(rows, rhs)])
+    if pivots != list(range(ncols)):  # a free column, or a pivot in the rhs column
         return None
-    return sol[0]
+    return tuple(Fraction(row[-1], row[c]) for row, c in zip(m, pivots))
 
 
 def _bland_pivots(m: list[list[int]], basis: list[int]) -> bool:
@@ -213,7 +191,7 @@ def integer_points(rows, rhs, bounds) -> Iterator[tuple[int, ...]]:
     from its integer-scaled row by divmod; a remainder drops the candidate.
     """
     n = len(bounds)
-    reduced, pivots = _echelon([[*row, b] for row, b in zip(rows, rhs)])
+    reduced, pivots = echelon([[*row, b] for row, b in zip(rows, rhs)])
     if n in pivots:  # pivot in the rhs column: inconsistent
         return
     free = [j for j in range(n) if j not in pivots]
@@ -255,11 +233,6 @@ def integer_points(rows, rhs, bounds) -> Iterator[tuple[int, ...]]:
     # term, and the whole bound check when no column is free
     if all(least <= r <= most for r, (least, most) in zip(b, reach[0])):
         yield from search(0, b)
-
-
-def integer_scaled(row: Sequence[Scalar]) -> tuple[int, ...]:
-    """Scale a rational row by the lcm of denominators to an integer row."""
-    return tuple(_integer_row(row)[0])
 
 
 def primitive_integer(vec: Sequence[int]) -> tuple[int, ...]:

@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import linalg
 from .fan import lineality_basis, ray_generator
@@ -95,14 +95,31 @@ def _positive_functional(vectors: Sequence[Point]) -> Optional[tuple[Fraction, .
     return tuple(x[j] - x[dim + j] for j in range(dim))
 
 
+def _integer_combinations(
+    columns: Sequence[Point], target: Sequence, phi: Sequence
+) -> Iterator[tuple[int, ...]]:
+    """Yield the integer c >= 0 with sum of c_j * columns[j] == target.
+
+    phi is positive on every column, so phi(target) = sum of c_j * phi(columns[j])
+    bounds each c_j by phi(target) / phi(columns[j]).
+    """
+
+    def value(v) -> Fraction:
+        return sum(p * x for p, x in zip(phi, v))
+
+    rows = [[col[i] for col in columns] for i in range(len(target))]
+    bounds = [(0, math.floor(value(target) / value(col))) for col in columns]
+    return linalg.integer_points(rows, target, bounds)
+
+
 def minimal_semigroup_generators(vectors: Iterable[Sequence]) -> tuple[Point, ...]:
     """Irredundant subset of the given generators.
 
     Requires a linear functional phi strictly positive on every generator (so
     the generated semigroup is pointed and the minimal set is unique).  A
     generator g is dropped when g = sum of c_h * h over the other kept
-    generators h with integers c_h >= 0; phi bounds each c_h by
-    phi(g) / phi(h), and the integer-point kernel stops at the first such c.
+    generators h with integers c_h >= 0; phi bounds each c_h, and the
+    integer-point kernel stops at the first such c.
     """
     gens = sorted({canonical_point(v) for v in vectors}, key=graded_lex_key)
     phi = _positive_functional(gens)
@@ -110,15 +127,10 @@ def minimal_semigroup_generators(vectors: Iterable[Sequence]) -> tuple[Point, ..
         raise PreconditionError(
             "no strictly positive functional; minimal generators are undefined"
         )
-
-    def value(v) -> Fraction:
-        return sum(p * x for p, x in zip(phi, v))
-
     kept = list(gens)
     for g in gens:
         others = [h for h in kept if h != g]
-        bounds = [(0, math.floor(value(g) / value(h))) for h in others]
-        if others and next(linalg.integer_points(list(zip(*others)), g, bounds), None) is not None:
+        if others and next(_integer_combinations(others, g, phi), None) is not None:
             kept = others
     return tuple(kept)
 
@@ -228,33 +240,35 @@ def global_nok_cone(
     )
 
 
-def graded_component(constraints: Sequence[Constraint], n: int) -> list[Exponent]:
-    """All non-negative integer solutions of the given equalities.
-
-    Each coordinate is first bounded exactly by minimising and maximising it
-    with the simplex kernel; a coordinate with no finite upper bound makes
-    the component infinite and raises.  The integer-point kernel then solves
-    the equalities inside those bounds.  Output is sorted in graded-lex order.
-    """
+def _split_constraints(constraints: Sequence[Constraint], n: int) -> tuple[list, list]:
+    """The rows and the targets of the equalities, each row of length n."""
     if not constraints:
         raise PreconditionError("at least one constraint row is required")
     if any(len(row) != n for row, _ in constraints):
         raise PreconditionError("constraint row length differs from dimension")
-    rows = [tuple(Fraction(x) for x in row) for row, _ in constraints]
-    targets = [Fraction(t) for _, t in constraints]
-    bounds = []
-    for j in range(n):
-        unit = [int(i == j) for i in range(n)]
-        status, low = linalg.simplex(unit, rows, targets)
-        if status == linalg.INFEASIBLE:
-            return []
-        status, high = linalg.simplex([-x for x in unit], rows, targets)
-        if status == linalg.UNBOUNDED:
-            raise PreconditionError(
-                f"coordinate {j} is unbounded; the graded component is infinite"
-            )
-        bounds.append((math.ceil(low[j]), math.floor(high[j])))
-    return sorted(linalg.integer_points(rows, targets, bounds), key=graded_lex_key)
+    return [row for row, _ in constraints], [t for _, t in constraints]
+
+
+def graded_component(constraints: Sequence[Constraint], n: int) -> list[Exponent]:
+    """All non-negative integer solutions of the given equalities.
+
+    One simplex call looks for a functional phi positive on every column.
+    When there is one, phi(target) bounds every coordinate and the
+    integer-point kernel solves the equalities inside those bounds.  When
+    there is none, some a >= 0 other than 0 solves the homogeneous system
+    (Gordan's alternative), so the component is empty when the equalities
+    have no non-negative rational solution and infinite, which raises,
+    otherwise.  Output is sorted in graded-lex order.
+    """
+    rows, targets = _split_constraints(constraints, n)
+    columns = [tuple(row[j] for row in rows) for j in range(n)]
+    # with no columns every functional is positive on each of them
+    phi = _positive_functional(columns) if columns else ()
+    if phi is None:
+        if linalg.nonnegative_solution_exists(rows, targets):
+            raise PreconditionError("the graded component is infinite")
+        return []
+    return sorted(_integer_combinations(columns, targets, phi), key=graded_lex_key)
 
 
 def equality_polytope_vertices(
@@ -266,12 +280,7 @@ def equality_polytope_vertices(
     rank-many columns, a unique non-negative solution supported on those
     columns is a vertex.
     """
-    if not constraints:
-        raise PreconditionError("at least one constraint row is required")
-    rows = [tuple(Fraction(x) for x in row) for row, _ in constraints]
-    targets = [Fraction(t) for _, t in constraints]
-    if any(len(r) != n for r in rows):
-        raise PreconditionError("constraint row length differs from dimension")
+    rows, targets = _split_constraints(constraints, n)
     found = set()
     for basis in itertools.combinations(range(n), linalg.rank(rows)):
         sol = linalg.solve_unique([[row[j] for j in basis] for row in rows], targets)

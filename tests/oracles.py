@@ -4,7 +4,8 @@ Deliberately separate from the library code paths: hull membership goes
 through exhaustive Caratheodory subsets, rank through explicit minors,
 solving through a standalone elimination routine, linear programs through a
 simplex over a Fraction tableau, polytope vertices through every subset of
-zero coordinates, minimal semigroup generators through the closure of {0}
+zero coordinates, non-negative integer solutions through a scan of an
+explicitly capped box, minimal semigroup generators through the closure of {0}
 under adding generators, and the JSON text of a document through the
 standard ``json`` module with the rational rule of ``fraction_text``.
 """
@@ -236,6 +237,17 @@ def polytope_vertices_by_zero_sets(rows, targets, n):
                 continue
             found.add(tuple(point))
     return found
+
+
+def nonnegative_solutions_by_box(rows, targets, caps):
+    """Every integer a with 0 <= a[j] <= caps[j] and rows . a == targets, in
+    lexicographic order: all non-negative integer solutions once the caps
+    bound them."""
+    return [
+        a
+        for a in itertools.product(*(range(cap + 1) for cap in caps))
+        if all(sum(Fraction(x) * v for x, v in zip(row, a)) == t for row, t in zip(rows, targets))
+    ]
 
 
 def minimal_generators_by_closure(generators, phi):

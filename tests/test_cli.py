@@ -72,6 +72,11 @@ def test_trop_classify(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["S"] == [1, 2] and doc["in_tropical_variety"] is True
+    argv[-1] = "1,0,0,0"
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["S"] == [1] and doc["in_tropical_variety"] is False
 
 
 def test_matrix_matches_library(capsys):
@@ -98,6 +103,11 @@ def test_nok_body_and_cone(capsys):
     body = okounkov.nok_body(f, (2, 1, 1, 1), (2, 3))
     for key, value in serialize.body_json(body).items():
         assert doc[key] == json_value(value)
+    # S is printed as the subset the matrix uses: sorted, repeats dropped
+    argv[5] = "3,2,3"
+    code, repeated, _ = run_cli(capsys, argv)
+    assert code == 0 and repeated == out
+    assert json.loads(repeated)["S"] == [2, 3]
 
     argv = [
         "nok", "T1*T2+T3^2+T4*T5", "--vars", "T1,T2,T3,T4,T5",
@@ -281,6 +291,8 @@ def test_precondition_exit_code(capsys):
         ["polytope", "1+x+y+x*y", "--vars", "x,y", "--lattice", "--minkowski"],
         # x + y = -1 has no non-negative solution: the polytope is empty
         ["project", "--rows", "1,1", "--eq-rows", "1,1", "--eq-targets", "-1", "--dim", "2"],
+        # x = y has the non-negative solutions (t, t) for every t: infinitely many
+        ["graded", "--eq-rows", "1,-1", "--eq-targets", "0", "--dim", "2"],
     ):
         code, out, err = run_cli(capsys, argv)
         assert code == 3 and out == ""

@@ -40,35 +40,40 @@ def test_row_space_equal():
     assert not linalg.row_space_equal(a, [[1, 0, 0], [0, 1, 0]])
 
 
-def test_solve_affine_unique():
-    sol = linalg.solve_affine([[1, 1], [1, -1]], [3, 1])
-    assert sol is not None
-    particular, basis = sol
-    assert particular == (2, 1)
-    assert basis == []
+def test_solve_unique_hand_cases():
+    assert linalg.solve_unique([[1, 1], [1, -1]], [3, 1]) == (2, 1)
+    # inconsistent, and underdetermined
+    assert linalg.solve_unique([[1, 1], [2, 2]], [1, 3]) is None
+    assert linalg.solve_unique([[1, 1, 1]], [6]) is None
+    # a redundant row leaves the solution unique; a contradicting one leaves none
+    assert linalg.solve_unique([[1, 0], [0, 2], [1, 2]], [1, 2, 3]) == (1, 1)
+    assert linalg.solve_unique([[1, 0], [0, 2], [1, 2]], [1, 2, 2]) is None
+    assert all(type(x) is Fraction for x in linalg.solve_unique([[2]], [1]))
 
 
-def test_solve_affine_inconsistent():
-    assert linalg.solve_affine([[1, 1], [2, 2]], [1, 3]) is None
-
-
-def test_solve_affine_parametrized():
-    sol = linalg.solve_affine([[1, 1, 1]], [6])
-    assert sol is not None
-    particular, basis = sol
-    assert sum(particular) == 6
-    assert len(basis) == 2
-    for v in basis:
-        assert sum(v) == 0
+def test_solve_unique_requires_rows():
+    with pytest.raises(ValueError):
+        linalg.solve_unique([], [])
 
 
 def test_solve_unique_agrees_with_oracle():
+    # square and non-square systems with rational entries: decompose_weight
+    # solves n x dim systems
     rng = random.Random(19)
-    for _ in range(40):
-        n = rng.randint(1, 4)
-        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        rhs = [rng.randint(-4, 4) for _ in range(n)]
-        assert linalg.solve_unique(rows, rhs) == gauss_solve_unique(rows, rhs)
+    unique = 0
+    for _ in range(200):
+        ncols = rng.randint(1, 4)
+        nrows = rng.randint(1, 5) if rng.random() < 0.6 else ncols
+        rows = [[random_entry(rng) for _ in range(ncols)] for _ in range(nrows)]
+        if rng.random() < 0.5:  # consistent by construction
+            point = [random_entry(rng) for _ in range(ncols)]
+            rhs = [sum(a * x for a, x in zip(row, point)) for row in rows]
+        else:
+            rhs = [random_entry(rng) for _ in range(nrows)]
+        sol = linalg.solve_unique(rows, rhs)
+        assert sol == gauss_solve_unique(rows, rhs)
+        unique += sol is not None and nrows > ncols
+    assert unique >= 20
 
 
 def test_simplex_square():
@@ -285,15 +290,9 @@ def test_nonnegative_solution_exists():
     assert not linalg.nonnegative_solution_exists([[1, -1], [1, 1]], [0, -2])
 
 
-def test_integer_scaled_and_primitive():
-    assert linalg.integer_scaled([Fraction(1, 2), Fraction(1, 3)]) == (3, 2)
+def test_primitive_integer():
     assert linalg.primitive_integer([4, -6, 2]) == (2, -3, 1)
     assert linalg.primitive_integer([0, 0]) == (0, 0)
-
-
-def test_solve_affine_requires_rows():
-    with pytest.raises(ValueError):
-        linalg.solve_affine([], [])
 
 
 def box_scan(rows, rhs, bounds):

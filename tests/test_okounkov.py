@@ -1,6 +1,8 @@
 import itertools
+import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from wellpoised import (
     equality_polytope_vertices,
     global_nok_cone,
     graded_component,
+    graded_lex_key,
     grading_image,
     homogeneity_vector,
     minimal_semigroup_generators,
@@ -19,8 +22,10 @@ from wellpoised import (
     valuation_matrix,
     variable_valuations,
 )
+from wellpoised import linalg
 from oracles import (
     minimal_generators_by_closure,
+    nonnegative_solutions_by_box,
     polytope_vertices_by_zero_sets,
     random_disjoint_polynomial,
     triangulation_area,
@@ -274,6 +279,100 @@ def test_graded_component_del_pezzo_quotient_counts():
 def test_graded_component_unbounded_raises():
     with pytest.raises(PreconditionError):
         graded_component([((1, -1), 0)], 2)
+
+
+def test_graded_component_without_coordinates():
+    assert graded_component([((), 0)], 0) == [()]
+    assert graded_component([((), 0), ((), 0)], 0) == [()]
+    assert graded_component([((), 1)], 0) == []
+    assert graded_component([((), 0), ((), Fraction(1, 2))], 0) == []
+
+
+def test_graded_component_makes_one_simplex_call(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = linalg.simplex
+    monkeypatch.setattr(linalg, "simplex", counted)
+    assert len(graded_component(DP_CONSTRAINTS, 5)) == 34
+    assert len(calls) == 1
+    # no positive functional: one more call tells infinite from empty
+    calls.clear()
+    with pytest.raises(PreconditionError):
+        graded_component([((1, -1), 0)], 2)
+    assert graded_component([((1, 0), -1)], 2) == []
+    assert len(calls) == 4
+
+
+def random_rational(rng, bound=3):
+    if rng.random() < 0.7:
+        return rng.randint(-bound, bound)
+    return Fraction(rng.randint(-bound, bound), rng.choice([2, 3]))
+
+
+def bounded_system(rng, n):
+    """Rows with rational entries in which row 0 minus k times row 1 is a
+    positive degree row, targets planted at a point a >= 0 and now and then
+    moved, and the cap on each coordinate that the degree row gives."""
+    degree = [rng.choice([1, 1, 2, 3, Fraction(3, 2)]) for _ in range(n)]
+    others = [[random_rational(rng) for _ in range(n)] for _ in range(rng.randint(0, 2))]
+    k = rng.choice([0, 1, -2, Fraction(1, 2)]) if others else 0
+    first = [d + k * a for d, a in zip(degree, others[0])] if others else degree
+    rows = [first, *others]
+    point = [rng.randint(0, 2) for _ in range(n)]
+    targets = [sum(a * v for a, v in zip(row, point)) for row in rows]
+    if rng.random() < 0.3:  # often infeasible
+        targets[rng.randrange(len(targets))] += random_rational(rng) or 1
+    bound = targets[0] - k * targets[1] if others else targets[0]
+    return rows, targets, [math.floor(bound / d) for d in degree]
+
+
+def unbounded_system(rng, n):
+    """Rows with rational entries that vanish on a direction r >= 0, r != 0
+    (a zero column when r is a unit vector), targets planted at a point
+    a >= 0, and r."""
+    r = [rng.randint(0, 2) for _ in range(n)] if rng.random() < 0.6 else [0] * n
+    r[rng.randrange(n)] = rng.randint(1, 2)
+    rows = []
+    for _ in range(rng.randint(1, 3)):
+        row = [random_rational(rng) for _ in range(n)]
+        j = rng.choice([i for i in range(n) if r[i]])
+        row[j] = -Fraction(sum(a * x for i, (a, x) in enumerate(zip(row, r)) if i != j), r[j])
+        rows.append(row)
+    point = [rng.randint(0, 2) for _ in range(n)]
+    return rows, [sum(a * v for a, v in zip(row, point)) for row in rows], r
+
+
+def test_graded_component_matches_box_oracle():
+    rng = random.Random(43)
+    seen = Counter()
+    for _ in range(240):
+        n = rng.randint(1, 4)
+        kind = rng.choice(["bounded", "bounded", "infinite", "empty"])
+        if kind == "bounded":
+            rows, targets, caps = bounded_system(rng, n)
+            expected = nonnegative_solutions_by_box(rows, targets, caps)
+            component = graded_component(list(zip(rows, targets)), n)
+            assert component == sorted(expected, key=graded_lex_key)
+            seen[kind, bool(expected)] += 1
+            continue
+        rows, targets, r = unbounded_system(rng, n)
+        if kind == "infinite":
+            with pytest.raises(PreconditionError):
+                graded_component(list(zip(rows, targets)), n)
+        else:
+            # a row >= 0 that vanishes on r, with a negative target: no
+            # solution at all, though the homogeneous system has r
+            rows.append([0 if x else rng.randint(0, 2) for x in r])
+            targets.append(-1)
+            assert graded_component(list(zip(rows, targets)), n) == []
+        seen[kind, any(not any(row[j] for row in rows) for j in range(n))] += 1
+    assert seen["bounded", True] >= 40 and seen["bounded", False] >= 15
+    for kind in ("infinite", "empty"):
+        assert seen[kind, True] >= 5 and seen[kind, False] >= 5
 
 
 def test_equality_polytope_vertices_del_pezzo():
