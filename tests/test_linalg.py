@@ -40,11 +40,22 @@ def test_row_space_equal():
     assert not linalg.row_space_equal(a, [[1, 0, 0], [0, 1, 0]])
 
 
-def test_solve_unique_hand_cases():
+def test_solve_affine_unique():
     assert linalg.solve_unique([[1, 1], [1, -1]], [3, 1]) == (2, 1)
-    # inconsistent, and underdetermined
+
+
+def test_solve_affine_inconsistent():
     assert linalg.solve_unique([[1, 1], [2, 2]], [1, 3]) is None
+
+
+def test_solve_affine_parametrized():
+    # consistent, with a two-dimensional solution set: no unique solution
     assert linalg.solve_unique([[1, 1, 1]], [6]) is None
+    # fixing two coordinates pins the third
+    assert linalg.solve_unique([[1, 1, 1], [1, 0, 0], [0, 1, 0]], [6, 1, 2]) == (1, 2, 3)
+
+
+def test_solve_unique_hand_cases():
     # a redundant row leaves the solution unique; a contradicting one leaves none
     assert linalg.solve_unique([[1, 0], [0, 2], [1, 2]], [1, 2, 3]) == (1, 1)
     assert linalg.solve_unique([[1, 0], [0, 2], [1, 2]], [1, 2, 2]) is None
