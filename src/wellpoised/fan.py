@@ -221,7 +221,7 @@ def decompose_weight(f: SparsePolynomial, weight: Sequence) -> WeightDecompositi
             residual[j] -= lam * ray.w[j]
     basis = lineality_basis(f)
     columns = basis.rows
-    rows = [[Fraction(col[j]) for col in columns] for j in range(f.n)]
+    rows = [[col[j] for col in columns] for j in range(f.n)]
     coeffs = linalg.solve_unique(rows, residual)
     if coeffs is None:
         raise PreconditionError("weight does not decompose; input violates contract")

@@ -1,18 +1,25 @@
 """Exact Newton-polytope computations.
 
-Vertex detection, simplex testing and lattice-point enumeration all run over
-the rationals: membership is decided by Gaussian elimination and the exact
-simplex kernel of ``linalg``, never by floating point.  Lattice enumeration
-solves the affine-hull equations of the vertices for their free coordinates
-inside the bounding box, with the integer-point kernel of ``linalg``.
+Every ``LatticePolytope`` carries one exact H-representation, found once when
+it is built: the integer equations of its affine hull and one integer
+inequality per facet.  The double description method (Motzkin, Raiffa,
+Thompson and Thrall, 1953; Fukuda and Prodon, 1996) finds the facets from
+the points on the integer pivot step of ``linalg``, and the vertices are the
+points that the facets through them pin down.  Membership, the simplex test
+and lattice enumeration then read the facets: no floating point and no
+linear program.  Lattice enumeration solves the affine-hull equations for
+their free coordinates inside the bounding box, with the integer-point
+kernel of ``linalg``, and the facets keep the points of the polytope.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import and_, mul
 from typing import Iterable, Optional, Sequence
 
 from . import linalg
@@ -26,14 +33,17 @@ from .polynomial import (
 )
 
 Point = tuple
+Row = tuple[int, ...]
 
 
 def canonical_point(point: Sequence) -> Point:
     """Normalize entries to int when integral, Fraction otherwise."""
     out = []
     for x in point:
-        f = Fraction(x)
-        out.append(int(f) if f.denominator == 1 else f)
+        if type(x) is not int:
+            f = Fraction(x)
+            x = f.numerator if f.denominator == 1 else f
+        out.append(x)
     return tuple(out)
 
 
@@ -51,15 +61,84 @@ def in_convex_hull(point: Sequence, generators: Sequence[Sequence]) -> bool:
     return linalg.nonnegative_solution_exists(rows, rhs)
 
 
+def _h_representation(
+    points: Sequence[Point],
+) -> tuple[tuple[Row, ...], tuple[Row, ...], list[int]]:
+    """The affine-hull equations and the facets of conv(points), and for each
+    facet the bitmask of the points on it (bit j for points[j]).
+
+    A row (a, b) of either kind reads a . x + b: zero on the affine hull for
+    an equation, non-negative on the polytope for a facet.  Each point is
+    homogenised to the integer vector v = d * (p, 1), d > 0 the lcm of its
+    denominators, and one echelon of [V | I], with the v as the columns of
+    V, starts the search.  Its rows past the rank of V vanish
+    on every v: their right halves are the equations.  Its pivot rows'
+    right halves are each positive on one pivot point and zero on the
+    others: the facets of the simplex on the first affinely independent
+    points.  The other points join one at a time by double description,
+    with the facets as the rays of the dual cone.  Facets negative on the
+    new point go; each of them and each facet positive on it that are
+    adjacent (no third facet holds every point the two share) give the
+    positive combination of the two that vanishes on it, divided by its gcd.
+    """
+    vs = [linalg._integer_row([*p, 1])[0] for p in points]
+    k, width = len(vs), len(vs[0])
+    reduced, pivots = linalg.echelon(
+        [[*(v[r] for v in vs), *(int(r == c) for c in range(width))] for r in range(width)]
+    )
+    rank = sum(c < k for c in pivots)
+    spanned = sum(1 << j for j in pivots[:rank])
+    rays = [(row[k:], spanned & ~(1 << j)) for row, j in zip(reduced, pivots[:rank])]
+    for j, v in enumerate(vs):
+        if spanned >> j & 1:
+            continue
+        bit = 1 << j
+        signed = [(sum(map(mul, ray, v)), ray, mask) for ray, mask in rays]
+        masks = [mask for _, mask in rays]
+        rays = [(ray, mask | bit if s == 0 else mask) for s, ray, mask in signed if s >= 0]
+        below = [entry for entry in signed if entry[0] < 0]
+        for sa, a, ma in signed:
+            if sa <= 0:
+                continue
+            for sb, b, mb in below:
+                common = ma & mb
+                # adjacent rays of the rank-r cone share r - 2 independent zeros
+                if common.bit_count() < rank - 2 or any(
+                    m & common == common for m in masks if m != ma and m != mb
+                ):
+                    continue
+                combined = [sa * y - sb * x for x, y in zip(a, b)]
+                g = math.gcd(*combined)
+                rays.append(([x // g for x in combined], common | bit))
+    equations = tuple(tuple(row[k:]) for row in reduced[rank:])
+    return equations, tuple(tuple(ray) for ray, _ in rays), [mask for _, mask in rays]
+
+
 @dataclass(frozen=True)
 class LatticePolytope:
-    """Minimal V-representation: no vertex lies in the hull of the others."""
+    """Minimal V-representation, no vertex in the hull of the others, and the
+    H-representation of the same polytope.
+
+    ``equations`` and ``facets`` hold integer rows (a, b) with a . x + b = 0
+    on the affine hull and a . x + b >= 0 on the polytope, one per facet.
+    Equality and hashing read only ``n`` and ``vertices``.
+    """
 
     n: int
     vertices: tuple[Point, ...]
+    equations: tuple[Row, ...] = field(default=None, compare=False, repr=False)
+    facets: tuple[Row, ...] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.facets is None:
+            equations, facets, _ = _h_representation(self.vertices)
+            object.__setattr__(self, "equations", equations)
+            object.__setattr__(self, "facets", facets)
 
     @classmethod
     def from_points(cls, points: Iterable[Sequence], n: Optional[int] = None) -> "LatticePolytope":
+        """The polytope conv(points): a point is a vertex exactly when the
+        facets through it meet in no other point."""
         pts = sorted({canonical_point(p) for p in points}, key=graded_lex_key)
         if not pts:
             raise PreconditionError("a polytope needs at least one point")
@@ -67,15 +146,22 @@ class LatticePolytope:
             n = len(pts[0])
         if any(len(p) != n for p in pts):
             raise PreconditionError("points of mixed dimensions")
-        verts = [
+        equations, facets, masks = _h_representation(pts)
+        every = (1 << len(pts)) - 1
+        verts = tuple(
             p
             for i, p in enumerate(pts)
-            if not in_convex_hull(p, pts[:i] + pts[i + 1 :])
-        ]
-        return cls(n=n, vertices=tuple(verts))
+            if functools.reduce(and_, (m for m in masks if m >> i & 1), every) == 1 << i
+        )
+        return cls(n, verts, equations, facets)
 
     def contains(self, point: Sequence) -> bool:
-        return in_convex_hull(point, self.vertices)
+        if len(point) != self.n:
+            raise PreconditionError("the point and the polytope differ in dimension")
+        v = linalg._integer_row([*point, 1])[0]
+        return all(sum(map(mul, e, v)) == 0 for e in self.equations) and all(
+            sum(map(mul, f, v)) >= 0 for f in self.facets
+        )
 
 
 def newton_polytope(f: SparsePolynomial) -> LatticePolytope:
@@ -84,44 +170,25 @@ def newton_polytope(f: SparsePolynomial) -> LatticePolytope:
 
 
 def is_simplex(p: LatticePolytope) -> bool:
-    """True when the vertices are affinely independent."""
-    if len(p.vertices) == 1:
-        return True
-    base = p.vertices[0]
-    diffs = [
-        [Fraction(x) - Fraction(y) for x, y in zip(v, base)] for v in p.vertices[1:]
-    ]
-    return linalg.rank(diffs) == len(p.vertices) - 1
+    """True when the vertices are affinely independent: one more of them than
+    the dimension of the affine hull."""
+    return len(p.vertices) == p.n - len(p.equations) + 1
 
 
 def lattice_points(p: LatticePolytope) -> list[Exponent]:
     """All integer points of the polytope, in graded-lex order.
 
-    The integer echelon rows of [V; 1 | I] (vertices as the columns of V)
-    past the rank of [V; 1] are the affine-hull equations, which the
-    integer-point kernel solves inside the bounding box of the vertices.  For
-    a simplex the first rows give positive multiples of the barycentric
-    coordinates, kept when all are non-negative; otherwise the exact hull
-    test decides.
+    The integer-point kernel solves the affine-hull equations inside the
+    bounding box of the vertices, and the facet inequalities keep the points
+    of the polytope: one path for simplices and for every other polytope.
     """
-    k, n = len(p.vertices), p.n
-    m = [[*(v[r] for v in p.vertices), *(int(r == c) for c in range(n + 1))] for r in range(n)]
-    m.append([1] * k + [0] * n + [1])
-    reduced, pivots = linalg.echelon(m)
-    rank = sum(c < k for c in pivots)
-    if rank == k:
-        signs = [row[k:] for row in reduced[:k]]
-
-        def inside(pt: tuple[int, ...]) -> bool:
-            b = pt + (1,)
-            return all(sum(a * x for a, x in zip(row, b)) >= 0 for row in signs)
-
-    else:
-        inside = p.contains
-    hull = reduced[rank:]
+    eqs, facets = p.equations, p.facets
     bounds = [(math.ceil(min(c)), math.floor(max(c))) for c in zip(*p.vertices)]
-    points = linalg.integer_points([r[k:-1] for r in hull], [-r[-1] for r in hull], bounds)
-    return sorted(filter(inside, points), key=graded_lex_key)
+    points = linalg.integer_points([e[:-1] for e in eqs], [-e[-1] for e in eqs], bounds)
+    return sorted(
+        (pt for pt in points if all(sum(map(mul, f, pt)) + f[-1] >= 0 for f in facets)),
+        key=graded_lex_key,
+    )
 
 
 @dataclass(frozen=True)

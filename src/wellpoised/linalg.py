@@ -9,7 +9,7 @@ certificate is checkable.  All of them share one pivot step that runs
 fraction-free on integer rows (each row scaled by the lcm of its
 denominators, cross-multiplied at a pivot and divided by the gcd of its
 entries).  ``echelon`` returns those integer rows; rank, unique solutions
-and the lattice-point equations of ``geometry`` read them directly, and
+and the hull equations and facets of ``geometry`` read them directly, and
 answers come back as ``Fraction``.
 """
 
@@ -73,19 +73,8 @@ def echelon(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], list[int
     return m[:r], pivots
 
 
-def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[Vector], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    m, pivots = echelon(rows)
-    return [tuple(Fraction(x, row[c]) for x in row) for row, c in zip(m, pivots)], pivots
-
-
 def rank(rows: Sequence[Sequence[Scalar]]) -> int:
     return len(echelon(rows)[1])
-
-
-def row_space_equal(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]) -> bool:
-    """Exact equality of the rational row spaces of two matrices."""
-    return rref(a)[0] == rref(b)[0]
 
 
 def solve_unique(rows, rhs) -> Optional[Vector]:

@@ -8,6 +8,8 @@ zero coordinates, non-negative integer solutions through a scan of an
 explicitly capped box, minimal semigroup generators through the closure of {0}
 under adding generators, and the JSON text of a document through the
 standard ``json`` module with the rational rule of ``fraction_text``.
+Only the ``rref`` helper (and ``row_space_equal`` on it) reads the
+library's ``echelon``; sympy checks it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import itertools
 import json
 from fractions import Fraction
 
-from wellpoised import SparsePolynomial, exponent_gcd
+from wellpoised import SparsePolynomial, exponent_gcd, linalg
 
 
 def fraction_text(value):
@@ -67,6 +69,22 @@ def gauss_solve_unique(rows, rhs):
     if any(w == -1 for w in where):
         return None
     return tuple(m[where[c]][-1] for c in range(ncols))
+
+
+def rref(rows):
+    """Reduced row echelon form over Fraction: (nonzero rows, pivot columns).
+
+    Each integer row of ``linalg.echelon`` divided by its pivot entry; a
+    helper for the tests that compare row spaces or order points by their
+    free coordinates, itself checked against sympy.
+    """
+    m, pivots = linalg.echelon(rows)
+    return [tuple(Fraction(x, row[c]) for x in row) for row, c in zip(m, pivots)], pivots
+
+
+def row_space_equal(a, b) -> bool:
+    """Exact equality of the rational row spaces of two matrices."""
+    return rref(a)[0] == rref(b)[0]
 
 
 def simplex_fraction(cost, rows, rhs):
@@ -186,15 +204,15 @@ def in_hull_caratheodory(point, generators) -> bool:
     return False
 
 
-def in_hull_facets(generators):
-    """Membership in conv(generators) by facet inequalities, for a cloud in
-    R^n (n >= 2) of full dimension.
+def facets_by_subsets(generators):
+    """The facets of conv(generators), for a cloud in R^n (n >= 2) of full
+    dimension, as pairs (normal, offset) with normal . x <= offset; a facet
+    through more than n points may appear once per length of its normal.
 
     Every n-subset of the cloud spans a hyperplane whose normal holds the
     signed cofactors of the differences from its first point.  When the whole
     cloud lies on one side of it, and some point strictly on that side, it
-    supports a facet.  The facets are found once; the returned predicate
-    tests a point against each of them.
+    supports a facet.
     """
     gens = [tuple(g) for g in generators]
     n = len(gens[0])
@@ -211,6 +229,14 @@ def in_hull_facets(generators):
             facets.add((tuple(-a for a in normal), -offset))
     if not facets:
         raise ValueError("the cloud is not full-dimensional")
+    return facets
+
+
+def in_hull_facets(generators):
+    """Membership in conv(generators) by the facet inequalities of
+    ``facets_by_subsets``, found once; the returned predicate tests a point
+    against each of them."""
+    facets = facets_by_subsets(generators)
 
     def contains(point) -> bool:
         return all(sum(a * x for a, x in zip(normal, point)) <= offset for normal, offset in facets)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -19,7 +20,10 @@ from wellpoised import (
     parse,
     shoelace_area,
 )
+from wellpoised import cli, linalg
+from wellpoised.polynomial import graded_lex_key
 from oracles import (
+    facets_by_subsets,
     gauss_solve_unique,
     in_hull_caratheodory,
     in_hull_facets,
@@ -323,3 +327,125 @@ def test_convex_hull_2d_collinear():
     assert convex_hull_2d(pts) == [(0, 0), (3, 3)]
     assert convex_hull_2d(pts, keep_boundary=True) == [(0, 0), (1, 1), (3, 3)]
     assert shoelace_area(convex_hull_2d(pts)) == 0
+
+
+def _clouds(rng):
+    """Seeded point clouds in 1-4 D: (ambient dimension, points).
+
+    Each dimension gets scattered clouds, clouds with repeated points,
+    collinear and coplanar sets, lower-dimensional clouds embedded by an
+    integer affine map, clouds of rational points, and in 3-D and 4-D
+    subsets of the grid {0, 1, 2}^n, where many points share an edge or a
+    face.
+    """
+    for n in (1, 2, 3, 4):
+        top = 3 if n < 4 else 2
+        for size in (1, 2, 5, 9):
+            yield n, [tuple(rng.randint(0, top) for _ in range(n)) for _ in range(size)]
+        pts = [tuple(rng.randint(0, top) for _ in range(n)) for _ in range(5)]
+        yield n, pts + rng.sample(pts, 3)
+        for flat in range(1, n):
+            # t_1 d_1 + ... + t_flat d_flat + base: collinear, coplanar, ...
+            base = [rng.randint(-1, 1) for _ in range(n)]
+            dirs = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(flat)]
+            steps = [[rng.randint(-2, 2) for _ in range(flat)] for _ in range(6)]
+            yield n, [
+                tuple(b + sum(t * d[j] for t, d in zip(ts, dirs)) for j, b in enumerate(base))
+                for ts in steps
+            ]
+        yield n, [
+            tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(n))
+            for _ in range(6)
+        ]
+        if n >= 3:
+            grid = list(itertools.product(range(3), repeat=n))
+            for size in (10, 14) if n == 3 else (16, 18, 20, 20):
+                yield n, rng.sample(grid, size)
+
+
+def _full_dimensional(points):
+    n = len(points[0])
+    return rank_by_minors([[x - y for x, y in zip(p, points[0])] for p in points[1:]]) == n
+
+
+def test_vertices_match_the_lp_rule_on_random_clouds():
+    rng = random.Random(67)
+    kinds = set()
+    for n, cloud in _clouds(rng):
+        p = LatticePolytope.from_points(cloud)
+        distinct = sorted(set(cloud))
+        kinds.add((n, _full_dimensional(distinct) if len(distinct) > 1 else None))
+        for q in distinct:
+            others = [o for o in distinct if o != q]
+            assert (q in p.vertices) == (not others or not in_convex_hull(q, others))
+        assert list(p.vertices) == sorted(p.vertices, key=graded_lex_key)
+    # lower-dimensional and full-dimensional clouds in every dimension past 1
+    assert {(n, full) for n in (2, 3, 4) for full in (True, False)} <= kinds
+
+
+def test_contains_matches_the_lp_and_the_facet_oracle_on_a_box():
+    rng = random.Random(71)
+    for n, cloud in _clouds(rng):
+        p = LatticePolytope.from_points(cloud)
+        distinct = sorted(set(cloud))
+        facets = None
+        if n >= 2 and len(distinct) > n and _full_dimensional(distinct):
+            facets = in_hull_facets(distinct)
+        box = [range(math.floor(min(c)) - 1, math.ceil(max(c)) + 2) for c in zip(*distinct)]
+        halves = [
+            tuple(Fraction(x + y, 2) for x, y in zip(a, b)) for a, b in zip(distinct, distinct[1:])
+        ]
+        for point in [*itertools.product(*box), *halves]:
+            expected = in_convex_hull(point, distinct)
+            assert p.contains(point) == expected
+            if facets is not None:
+                assert facets(point) == expected
+
+
+def _primitive(row):
+    """The positive multiple of a rational row with coprime integer entries."""
+    d = math.lcm(*(Fraction(x).denominator for x in row))
+    return linalg.primitive_integer([x * d for x in row])
+
+
+def test_facets_match_the_subset_oracle_on_full_dimensional_clouds():
+    # the same inequalities up to a positive factor, and no redundant one
+    rng = random.Random(73)
+    checked = 0
+    for n, cloud in _clouds(rng):
+        distinct = sorted(set(cloud))
+        if n < 2 or len(distinct) <= n or not _full_dimensional(distinct):
+            continue
+        p = LatticePolytope.from_points(cloud)
+        assert p.equations == ()
+        expected = {
+            _primitive([*(-x for x in normal), offset])
+            for normal, offset in facets_by_subsets(distinct)
+        }
+        found = [_primitive(f) for f in p.facets]
+        assert len(found) == len(set(found)) and set(found) == expected
+        checked += 1
+    assert checked >= 10
+
+
+def test_cube_with_apex_census_matches_a_box_scan():
+    corners = [tuple(8 * b for b in bits) for bits in itertools.product((0, 1), repeat=3)]
+    p = LatticePolytope.from_points(corners + [(4, 4, 12)])
+    assert not is_simplex(p) and len(p.vertices) == 9
+    box = itertools.product(range(9), range(9), range(13))
+    expected = sorted((pt for pt in box if in_convex_hull(pt, p.vertices)), key=graded_lex_key)
+    assert lattice_points(p) == expected
+    assert len(expected) == 9**3 + 7**2 + 5**2 + 3**2 + 1
+
+
+def test_polytope_command_runs_no_linear_program(monkeypatch, capsys):
+    calls = []
+    simplex = linalg.simplex
+    monkeypatch.setattr(linalg, "simplex", lambda *args: calls.append(args) or simplex(*args))
+    quadrilateral = ["polytope", "x*y^2 + x^2*y + x^2*y^2 + x*y + 3", "--vars", "x,y"]
+    assert cli.run([*quadrilateral, "--lattice"]) == 0
+    assert cli.run([*quadrilateral, "--lattice", "--minkowski"]) == 3  # not a simplex
+    assert cli.run(["polytope", "x^2+y^3+z^5", "--vars", "x,y,z", "--lattice", "--minkowski"]) == 0
+    capsys.readouterr()
+    assert calls == []
+    assert in_convex_hull((1,), [(0,), (2,)]) and len(calls) == 1
