@@ -2,14 +2,14 @@
 
 Every ``LatticePolytope`` carries one exact H-representation, found once when
 it is built: the integer equations of its affine hull and one integer
-inequality per facet.  The double description method (Motzkin, Raiffa,
-Thompson and Thrall, 1953; Fukuda and Prodon, 1996) finds the facets from
-the points on the integer pivot step of ``linalg``, and the vertices are the
-points that the facets through them pin down.  Membership, the simplex test
-and lattice enumeration then read the facets: no floating point and no
-linear program.  Lattice enumeration solves the affine-hull equations for
-their free coordinates inside the bounding box, with the integer-point
-kernel of ``linalg``, and the facets keep the points of the polytope.
+inequality per facet.  They are the equations and facets that the double
+description kernel of ``linalg`` finds for the cone on the homogenised
+points (p, 1), and the vertices are the points that the facets through them
+pin down.  Membership, ``in_convex_hull``, the simplex test and lattice
+enumeration then read the facets: no floating point and no linear program.
+Lattice enumeration solves the affine-hull equations for their free
+coordinates inside the bounding box, with the integer-point kernel of
+``linalg``, and the facets keep the points of the polytope.
 """
 
 from __future__ import annotations
@@ -47,73 +47,6 @@ def canonical_point(point: Sequence) -> Point:
     return tuple(out)
 
 
-def in_convex_hull(point: Sequence, generators: Sequence[Sequence]) -> bool:
-    """Exact test for point in conv(generators) via barycentric feasibility."""
-    gens = [canonical_point(g) for g in generators]
-    if not gens:
-        return False
-    n = len(point)
-    if any(len(g) != n for g in gens):
-        raise PreconditionError("the point and the generators differ in length")
-    rows = [[g[r] for g in gens] for r in range(n)]
-    rows.append([1] * len(gens))
-    rhs = [*point, 1]
-    return linalg.nonnegative_solution_exists(rows, rhs)
-
-
-def _h_representation(
-    points: Sequence[Point],
-) -> tuple[tuple[Row, ...], tuple[Row, ...], list[int]]:
-    """The affine-hull equations and the facets of conv(points), and for each
-    facet the bitmask of the points on it (bit j for points[j]).
-
-    A row (a, b) of either kind reads a . x + b: zero on the affine hull for
-    an equation, non-negative on the polytope for a facet.  Each point is
-    homogenised to the integer vector v = d * (p, 1), d > 0 the lcm of its
-    denominators, and one echelon of [V | I], with the v as the columns of
-    V, starts the search.  Its rows past the rank of V vanish
-    on every v: their right halves are the equations.  Its pivot rows'
-    right halves are each positive on one pivot point and zero on the
-    others: the facets of the simplex on the first affinely independent
-    points.  The other points join one at a time by double description,
-    with the facets as the rays of the dual cone.  Facets negative on the
-    new point go; each of them and each facet positive on it that are
-    adjacent (no third facet holds every point the two share) give the
-    positive combination of the two that vanishes on it, divided by its gcd.
-    """
-    vs = [linalg._integer_row([*p, 1])[0] for p in points]
-    k, width = len(vs), len(vs[0])
-    reduced, pivots = linalg.echelon(
-        [[*(v[r] for v in vs), *(int(r == c) for c in range(width))] for r in range(width)]
-    )
-    rank = sum(c < k for c in pivots)
-    spanned = sum(1 << j for j in pivots[:rank])
-    rays = [(row[k:], spanned & ~(1 << j)) for row, j in zip(reduced, pivots[:rank])]
-    for j, v in enumerate(vs):
-        if spanned >> j & 1:
-            continue
-        bit = 1 << j
-        signed = [(sum(map(mul, ray, v)), ray, mask) for ray, mask in rays]
-        masks = [mask for _, mask in rays]
-        rays = [(ray, mask | bit if s == 0 else mask) for s, ray, mask in signed if s >= 0]
-        below = [entry for entry in signed if entry[0] < 0]
-        for sa, a, ma in signed:
-            if sa <= 0:
-                continue
-            for sb, b, mb in below:
-                common = ma & mb
-                # adjacent rays of the rank-r cone share r - 2 independent zeros
-                if common.bit_count() < rank - 2 or any(
-                    m & common == common for m in masks if m != ma and m != mb
-                ):
-                    continue
-                combined = [sa * y - sb * x for x, y in zip(a, b)]
-                g = math.gcd(*combined)
-                rays.append(([x // g for x in combined], common | bit))
-    equations = tuple(tuple(row[k:]) for row in reduced[rank:])
-    return equations, tuple(tuple(ray) for ray, _ in rays), [mask for _, mask in rays]
-
-
 @dataclass(frozen=True)
 class LatticePolytope:
     """Minimal V-representation, no vertex in the hull of the others, and the
@@ -131,7 +64,7 @@ class LatticePolytope:
 
     def __post_init__(self):
         if self.facets is None:
-            equations, facets, _ = _h_representation(self.vertices)
+            equations, facets, _ = linalg.double_description([(*v, 1) for v in self.vertices])
             object.__setattr__(self, "equations", equations)
             object.__setattr__(self, "facets", facets)
 
@@ -146,7 +79,7 @@ class LatticePolytope:
             n = len(pts[0])
         if any(len(p) != n for p in pts):
             raise PreconditionError("points of mixed dimensions")
-        equations, facets, masks = _h_representation(pts)
+        equations, facets, masks = linalg.double_description([(*p, 1) for p in pts])
         every = (1 << len(pts)) - 1
         verts = tuple(
             p
@@ -158,10 +91,17 @@ class LatticePolytope:
     def contains(self, point: Sequence) -> bool:
         if len(point) != self.n:
             raise PreconditionError("the point and the polytope differ in dimension")
-        v = linalg._integer_row([*point, 1])[0]
-        return all(sum(map(mul, e, v)) == 0 for e in self.equations) and all(
-            sum(map(mul, f, v)) >= 0 for f in self.facets
-        )
+        return linalg.in_cone(self.equations, self.facets, (*point, 1))
+
+
+def in_convex_hull(point: Sequence, generators: Sequence[Sequence]) -> bool:
+    """Exact test for point in conv(generators), on the facets of their hull."""
+    gens = list(generators)
+    if not gens:
+        return False
+    if any(len(g) != len(point) for g in gens):
+        raise PreconditionError("the point and the generators differ in length")
+    return LatticePolytope.from_points(gens).contains(point)
 
 
 def newton_polytope(f: SparsePolynomial) -> LatticePolytope:

@@ -1,28 +1,29 @@
 """Exact linear algebra over the rationals.
 
 Inputs are plain sequences of ``fractions.Fraction`` (or ints).  The systems
-in this package are tiny, so Gauss-Jordan elimination, one simplex kernel
-(Bland's rule, so it cannot cycle) and one integer-point kernel (a pruned
-depth-first search, the only integer search in the package) run exactly
-instead of through floating-point solvers: every answer is exact and every
-certificate is checkable.  All of them share one pivot step that runs
-fraction-free on integer rows (each row scaled by the lcm of its
-denominators, cross-multiplied at a pivot and divided by the gcd of its
-entries).  ``echelon`` returns those integer rows; rank, unique solutions
-and the hull equations and facets of ``geometry`` read them directly, and
-answers come back as ``Fraction``.
+in this package are tiny, so Gauss-Jordan elimination, one polyhedral kernel
+(double description: the equations and facets of the cone some vectors
+generate) and one integer-point kernel (a pruned depth-first search, the
+only integer search in the package) run exactly instead of through
+floating-point solvers: every answer is exact and every certificate is
+checkable.  All of them share one pivot step that runs fraction-free on
+integer rows (each row scaled by the lcm of its denominators,
+cross-multiplied at a pivot and divided by the gcd of its entries).
+``echelon`` returns those integer rows; rank, unique solutions and the
+double description read them directly, and answers come back as
+``Fraction``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterator, Optional, Sequence
 
 Scalar = int | Fraction
 Vector = tuple[Fraction, ...]
-
-OPTIMAL, INFEASIBLE, UNBOUNDED = "optimal", "infeasible", "unbounded"
+Row = tuple[int, ...]
 
 
 def _integer_row(row: Sequence[Scalar]) -> tuple[list[int], int]:
@@ -88,84 +89,68 @@ def solve_unique(rows, rhs) -> Optional[Vector]:
     return tuple(Fraction(row[-1], row[c]) for row, c in zip(m, pivots))
 
 
-def _bland_pivots(m: list[list[int]], basis: list[int]) -> bool:
-    """Pivot tableau m (constraint rows, then the reduced-cost row) to an optimum.
+def double_description(
+    vectors: Sequence[Sequence[Scalar]],
+) -> tuple[tuple[Row, ...], tuple[Row, ...], list[int]]:
+    """The equations and the facets of the cone the vectors generate, and for
+    each facet the bitmask of the vectors on it (bit j for vectors[j]).
 
-    Bland's rule: the lowest-indexed column with negative reduced cost enters,
-    and ties in the ratio test go to the lowest-indexed basic variable, so
-    degenerate pivots never cycle.  Every row is a positive multiple of the
-    rational tableau's row, so signs agree with it and the ratios rhs/entry
-    are compared by cross-multiplying.  Returns False when the objective is
-    unbounded below.
+    The equations are integer rows e with e . v = 0 for every vector, a basis
+    of the rows orthogonal to their span.  The facets are integer rows f with
+    f . v >= 0 for every vector, one per facet of the cone within that span.
+    Each vector is scaled to integers by the lcm of its denominators, and one
+    echelon of [V | I], with the vectors as the columns of V, starts the
+    search.  Its rows past the rank of V vanish on every vector: their right
+    halves are the equations.  Its pivot rows' right halves are each positive
+    on one pivot vector and zero on the others: the facets of the simplicial
+    cone on the first linearly independent vectors.  The other vectors join
+    one at a time by double description (Motzkin, Raiffa, Thompson and
+    Thrall, 1953; Fukuda and Prodon, 1996), with the facets as the rays of
+    the dual cone.  Facets negative on the new vector go; each of them and
+    each facet positive on it that are adjacent (no third facet holds every
+    vector the two share) give the positive combination of the two that
+    vanishes on it, divided by its gcd.
     """
-    while True:
-        costs = m[-1]
-        enter = next((j for j, d in enumerate(costs[:-1]) if d < 0), None)
-        if enter is None:
-            return True
-        leave, num, den = None, 1, 0  # smallest ratio num/den so far; 1/0 is infinite
-        for i, row in enumerate(m[:-1]):
-            a = row[enter]
-            if a > 0:
-                diff = row[-1] * den - num * a  # sign of row[-1]/a - num/den
-                if diff < 0 or (diff == 0 and basis[i] < basis[leave]):
-                    leave, num, den = i, row[-1], a
-        if leave is None:
-            return False
-        _pivot(m, leave, enter)
-        basis[leave] = enter
+    vs = [_integer_row(v)[0] for v in vectors]
+    k, width = len(vs), len(vs[0]) if vs else 0
+    reduced, pivots = echelon(
+        [[*(v[r] for v in vs), *(int(r == c) for c in range(width))] for r in range(width)]
+    )
+    rank = sum(c < k for c in pivots)
+    spanned = sum(1 << j for j in pivots[:rank])
+    rays = [(row[k:], spanned & ~(1 << j)) for row, j in zip(reduced, pivots[:rank])]
+    for j, v in enumerate(vs):
+        if spanned >> j & 1:
+            continue
+        bit = 1 << j
+        signed = [(sum(map(mul, ray, v)), ray, mask) for ray, mask in rays]
+        masks = [mask for _, mask in rays]
+        rays = [(ray, mask | bit if s == 0 else mask) for s, ray, mask in signed if s >= 0]
+        below = [entry for entry in signed if entry[0] < 0]
+        for sa, a, ma in signed:
+            if sa <= 0:
+                continue
+            for sb, b, mb in below:
+                common = ma & mb
+                # adjacent rays of the rank-r cone share r - 2 independent zeros
+                if common.bit_count() < rank - 2 or any(
+                    m & common == common for m in masks if m != ma and m != mb
+                ):
+                    continue
+                combined = [sa * y - sb * x for x, y in zip(a, b)]
+                g = math.gcd(*combined)
+                rays.append(([x // g for x in combined], common | bit))
+    equations = tuple(tuple(row[k:]) for row in reduced[rank:])
+    return equations, tuple(tuple(ray) for ray, _ in rays), [mask for _, mask in rays]
 
 
-def simplex(cost, rows, rhs) -> tuple[str, Optional[Vector]]:
-    """Minimise cost . x subject to rows . x = rhs and x >= 0, exactly.
-
-    Returns (OPTIMAL, an optimal vertex), (INFEASIBLE, None) or
-    (UNBOUNDED, None).  Phase I starts from one artificial variable per row
-    and minimises their sum; artificials are basis markers only (numbered
-    after the real columns) and never re-enter.  Phase II then minimises
-    cost from the feasible basis Phase I leaves.  The tableau holds each row
-    times the lcm of its denominators, so a basic value is rhs / pivot entry.
-    """
-    n = len(cost)
-    m, scales = [], []
-    for row, b in zip(rows, rhs):
-        ints, d = _integer_row([*row, b])
-        m.append([-x for x in ints] if ints[-1] < 0 else ints)
-        scales.append(d)
-    # Phase I reduced costs: minus the column sums of the rational rows,
-    # times the lcm of the row scales
-    lcm = math.lcm(*scales)
-    weights = [lcm // d for d in scales]
-    m.append([-sum(w * x for w, x in zip(weights, col)) for col in zip(*m)] or [0] * (n + 1))
-    basis = list(range(n, n + len(m) - 1))
-    _bland_pivots(m, basis)
-    if m.pop()[-1] != 0:
-        return INFEASIBLE, None
-    # drive the remaining (zero-valued) artificials out, or drop their rows
-    for i in reversed(range(len(m))):
-        if basis[i] >= n:
-            j = next((c for c in range(n) if m[i][c] != 0), None)
-            if j is None:
-                del m[i], basis[i]
-            else:
-                _pivot(m, i, j)
-                basis[i] = j
-    # Phase II reduced costs: pivoting on each basic entry clears the cost
-    # row there and leaves the other rows, which hold 0 in that column
-    m.append(_integer_row([*cost, 0])[0])
-    for i, b in enumerate(basis):
-        _pivot(m, i, b)
-    if not _bland_pivots(m, basis):
-        return UNBOUNDED, None
-    x = [Fraction(0)] * n
-    for row, b in zip(m, basis):
-        x[b] = Fraction(row[-1], row[b])
-    return OPTIMAL, tuple(x)
-
-
-def nonnegative_solution_exists(rows, rhs) -> bool:
-    """Does A x = b admit a componentwise non-negative solution?"""
-    return simplex([0] * len(rows[0]), rows, rhs)[0] != INFEASIBLE
+def in_cone(equations: Sequence[Row], facets: Sequence[Row], v: Sequence[Scalar]) -> bool:
+    """Is v in the cone with these equations and facets: every equation zero
+    on it and every facet non-negative?"""
+    v = _integer_row(v)[0]
+    return all(sum(map(mul, e, v)) == 0 for e in equations) and all(
+        sum(map(mul, f, v)) >= 0 for f in facets
+    )
 
 
 def integer_points(rows, rhs, bounds) -> Iterator[tuple[int, ...]]:

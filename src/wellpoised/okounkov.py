@@ -11,10 +11,9 @@ to reproduce planar bodies exactly.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import linalg
@@ -79,20 +78,16 @@ def variable_valuations(m: ValuationMatrix) -> list[tuple[int, tuple[int, ...]]]
     return list(enumerate(m.columns()))
 
 
-def _positive_functional(vectors: Sequence[Point]) -> Optional[tuple[Fraction, ...]]:
-    # phi with phi(v) >= 1 for all v; exists iff phi(v) > 0 is solvable.
-    # Standard form: phi = p - q and (p - q).v - s_v = 1 with p, q, s >= 0.
-    if not vectors:
-        return None
-    dim, k = len(vectors[0]), len(vectors)
-    rows = [
-        [*v, *(-x for x in v), *(-1 if i == j else 0 for j in range(k))]
-        for i, v in enumerate(vectors)
-    ]
-    status, x = linalg.simplex([0] * (2 * dim + k), rows, [1] * k)
-    if status == linalg.INFEASIBLE:
-        return None
-    return tuple(x[j] - x[dim + j] for j in range(dim))
+def _positive_functional(vectors: Sequence[Point], facets: Sequence) -> Optional[tuple[int, ...]]:
+    """The sum of the facets of cone(vectors) when it is positive on every
+    vector, else None: then no functional is.
+
+    Every facet is non-negative on the cone, and a nonzero point of a cone
+    with no line lies off some facet; so the sum is positive on every vector
+    exactly when no vector is 0 and the cone holds no line.
+    """
+    phi = tuple(map(sum, zip(*facets)))
+    return phi if all(sum(map(mul, phi, v)) > 0 for v in vectors) else None
 
 
 def _integer_combinations(
@@ -104,11 +99,11 @@ def _integer_combinations(
     bounds each c_j by phi(target) / phi(columns[j]).
     """
 
-    def value(v) -> Fraction:
-        return sum(p * x for p, x in zip(phi, v))
+    def value(v):
+        return sum(map(mul, phi, v))
 
     rows = [[col[i] for col in columns] for i in range(len(target))]
-    bounds = [(0, math.floor(value(target) / value(col))) for col in columns]
+    bounds = [(0, value(target) // value(col)) for col in columns]
     return linalg.integer_points(rows, target, bounds)
 
 
@@ -122,8 +117,9 @@ def minimal_semigroup_generators(vectors: Iterable[Sequence]) -> tuple[Point, ..
     integer-point kernel stops at the first such c.
     """
     gens = sorted({canonical_point(v) for v in vectors}, key=graded_lex_key)
-    phi = _positive_functional(gens)
-    if phi is None:
+    # with no generators the sum of no facets is (): no functional either
+    phi = _positive_functional(gens, linalg.double_description(gens)[1])
+    if not phi:
         raise PreconditionError(
             "no strictly positive functional; minimal generators are undefined"
         )
@@ -252,20 +248,22 @@ def _split_constraints(constraints: Sequence[Constraint], n: int) -> tuple[list,
 def graded_component(constraints: Sequence[Constraint], n: int) -> list[Exponent]:
     """All non-negative integer solutions of the given equalities.
 
-    One simplex call looks for a functional phi positive on every column.
-    When there is one, phi(target) bounds every coordinate and the
-    integer-point kernel solves the equalities inside those bounds.  When
-    there is none, some a >= 0 other than 0 solves the homogeneous system
-    (Gordan's alternative), so the component is empty when the equalities
-    have no non-negative rational solution and infinite, which raises,
-    otherwise.  Output is sorted in graded-lex order.
+    One double description of the cone of the columns gives its equations
+    and facets, and the sum of the facets is a functional phi positive on
+    every column when there is one.  Then phi(target) bounds every
+    coordinate and the integer-point kernel solves the equalities inside
+    those bounds.  When there is none, some a >= 0 other than 0 solves the
+    homogeneous system (Gordan's alternative), so the component is empty
+    when the target lies outside the cone of the columns and infinite,
+    which raises, otherwise.  Output is sorted in graded-lex order.
     """
     rows, targets = _split_constraints(constraints, n)
     columns = [tuple(row[j] for row in rows) for j in range(n)]
-    # with no columns every functional is positive on each of them
-    phi = _positive_functional(columns) if columns else ()
+    equations, facets, _ = linalg.double_description(columns)
+    # with no columns phi = () is positive on each of them
+    phi = _positive_functional(columns, facets)
     if phi is None:
-        if linalg.nonnegative_solution_exists(rows, targets):
+        if linalg.in_cone(equations, facets, targets):
             raise PreconditionError("the graded component is infinite")
         return []
     return sorted(_integer_combinations(columns, targets, phi), key=graded_lex_key)
@@ -276,20 +274,21 @@ def equality_polytope_vertices(
 ) -> list[Point]:
     """Vertices of {a >= 0 : row . a = target for all constraints}.
 
-    The vertices are the basic feasible solutions: for every set of
-    rank-many columns, a unique non-negative solution supported on those
-    columns is a vertex.
+    They are the extreme rays (a, s) of the cone C = {(a, s) >= 0 : R a = t s}
+    with s > 0, scaled to s = 1.  The equations of the cone that the rows of
+    [R | -t] generate span the kernel of [R | -t]; with them as the columns
+    of an integer matrix K, C = {K y : K y >= 0}.  The extreme rays y of
+    {y : K y >= 0} are the facets of the cone that the rows of K generate,
+    and row i of K reads coordinate i of (a, s) = K y off each of them.
     """
     rows, targets = _split_constraints(constraints, n)
-    found = set()
-    for basis in itertools.combinations(range(n), linalg.rank(rows)):
-        sol = linalg.solve_unique([[row[j] for j in basis] for row in rows], targets)
-        if sol is None or any(x < 0 for x in sol):
-            continue
-        point = [Fraction(0)] * n
-        for j, value in zip(basis, sol):
-            point[j] = value
-        found.add(canonical_point(point))
+    kernel, _, _ = linalg.double_description([[*row, -t] for row, t in zip(rows, targets)])
+    coordinates = list(zip(*kernel))
+    found = []
+    for ray in linalg.double_description(coordinates)[1]:
+        *a, s = (sum(map(mul, ray, k)) for k in coordinates)
+        if s > 0:
+            found.append(canonical_point([Fraction(x, s) for x in a]))
     return sorted(found, key=graded_lex_key)
 
 

@@ -1,13 +1,14 @@
 """Independent reference implementations used as test oracles.
 
 Deliberately separate from the library code paths: hull membership goes
-through exhaustive Caratheodory subsets, rank through explicit minors,
-solving through a standalone elimination routine, linear programs through a
-simplex over a Fraction tableau, polytope vertices through every subset of
-zero coordinates, non-negative integer solutions through a scan of an
-explicitly capped box, minimal semigroup generators through the closure of {0}
-under adding generators, and the JSON text of a document through the
-standard ``json`` module with the rational rule of ``fraction_text``.
+through exhaustive Caratheodory subsets or a linear program, rank through
+explicit minors, solving through a standalone elimination routine, linear
+programs through a simplex over a Fraction tableau, polytope vertices
+through every subset of zero coordinates, non-negative integer solutions
+through a scan of an explicitly capped box, minimal semigroup generators
+through the closure of {0} under adding generators, and the JSON text of a
+document through the standard ``json`` module with the rational rule of
+``fraction_text``.
 Only the ``rref`` helper (and ``row_space_equal`` on it) reads the
 library's ``echelon``; sympy checks it.
 """
@@ -89,7 +90,7 @@ def row_space_equal(a, b) -> bool:
 
 def simplex_fraction(cost, rows, rhs):
     """Bland's-rule two-phase simplex over a Fraction tableau, the reference
-    for the library's fraction-free kernel.
+    LP for the library's cone membership, positive functionals and vertices.
 
     Same contract: minimise cost . x over rows . x = rhs, x >= 0, returning
     ("optimal", vertex), ("infeasible", None) or ("unbounded", None).  Each
@@ -152,6 +153,14 @@ def simplex_fraction(cost, rows, rhs):
     for row, b in zip(m, basis):
         x[b] = row[-1]
     return "optimal", tuple(x)
+
+
+def in_hull_lp(point, generators) -> bool:
+    """Membership in conv(generators): is the barycentric system feasible
+    for ``simplex_fraction``?"""
+    rows = [[g[r] for g in generators] for r in range(len(point))]
+    rows.append([1] * len(generators))
+    return simplex_fraction([0] * len(generators), rows, [*point, 1])[0] != "infeasible"
 
 
 def det(matrix):
@@ -247,9 +256,10 @@ def in_hull_facets(generators):
 def polytope_vertices_by_zero_sets(rows, targets, n):
     """Vertices of {a >= 0 : rows . a = targets}, by pinning every subset of
     coordinates to zero in turn: a unique non-negative solution of the
-    remaining system is a vertex."""
+    remaining system is a vertex.  A unique solution has at most as many
+    coordinates off the pinned ones as there are rows."""
     found = set()
-    for size in range(n + 1):
+    for size in range(max(n - len(rows), 0), n + 1):
         for zeros in itertools.combinations(range(n), size):
             free = [j for j in range(n) if j not in zeros]
             point = [Fraction(0)] * n

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -27,6 +28,7 @@ from oracles import (
     gauss_solve_unique,
     in_hull_caratheodory,
     in_hull_facets,
+    in_hull_lp,
     random_disjoint_polynomial,
     rank_by_minors,
 )
@@ -377,29 +379,28 @@ def test_vertices_match_the_lp_rule_on_random_clouds():
         kinds.add((n, _full_dimensional(distinct) if len(distinct) > 1 else None))
         for q in distinct:
             others = [o for o in distinct if o != q]
-            assert (q in p.vertices) == (not others or not in_convex_hull(q, others))
+            assert (q in p.vertices) == (not others or not in_hull_lp(q, others))
         assert list(p.vertices) == sorted(p.vertices, key=graded_lex_key)
     # lower-dimensional and full-dimensional clouds in every dimension past 1
     assert {(n, full) for n in (2, 3, 4) for full in (True, False)} <= kinds
 
 
 def test_contains_matches_the_lp_and_the_facet_oracle_on_a_box():
+    # the facet oracle on full-dimensional clouds, the LP oracle on the others
     rng = random.Random(71)
     for n, cloud in _clouds(rng):
         p = LatticePolytope.from_points(cloud)
         distinct = sorted(set(cloud))
-        facets = None
         if n >= 2 and len(distinct) > n and _full_dimensional(distinct):
-            facets = in_hull_facets(distinct)
+            oracle = in_hull_facets(distinct)
+        else:
+            oracle = functools.partial(in_hull_lp, generators=distinct)
         box = [range(math.floor(min(c)) - 1, math.ceil(max(c)) + 2) for c in zip(*distinct)]
         halves = [
             tuple(Fraction(x + y, 2) for x, y in zip(a, b)) for a, b in zip(distinct, distinct[1:])
         ]
         for point in [*itertools.product(*box), *halves]:
-            expected = in_convex_hull(point, distinct)
-            assert p.contains(point) == expected
-            if facets is not None:
-                assert facets(point) == expected
+            assert p.contains(point) == oracle(point)
 
 
 def _primitive(row):
@@ -433,19 +434,28 @@ def test_cube_with_apex_census_matches_a_box_scan():
     p = LatticePolytope.from_points(corners + [(4, 4, 12)])
     assert not is_simplex(p) and len(p.vertices) == 9
     box = itertools.product(range(9), range(9), range(13))
-    expected = sorted((pt for pt in box if in_convex_hull(pt, p.vertices)), key=graded_lex_key)
+    expected = sorted((pt for pt in box if in_hull_lp(pt, p.vertices)), key=graded_lex_key)
     assert lattice_points(p) == expected
     assert len(expected) == 9**3 + 7**2 + 5**2 + 3**2 + 1
 
 
 def test_polytope_command_runs_no_linear_program(monkeypatch, capsys):
+    # one double description per request, and in_convex_hull runs on it too
     calls = []
-    simplex = linalg.simplex
-    monkeypatch.setattr(linalg, "simplex", lambda *args: calls.append(args) or simplex(*args))
+    kernel = linalg.double_description
+    monkeypatch.setattr(
+        linalg, "double_description", lambda *args: calls.append(args) or kernel(*args)
+    )
     quadrilateral = ["polytope", "x*y^2 + x^2*y + x^2*y^2 + x*y + 3", "--vars", "x,y"]
-    assert cli.run([*quadrilateral, "--lattice"]) == 0
-    assert cli.run([*quadrilateral, "--lattice", "--minkowski"]) == 3  # not a simplex
-    assert cli.run(["polytope", "x^2+y^3+z^5", "--vars", "x,y,z", "--lattice", "--minkowski"]) == 0
+    for argv, code in [
+        ([*quadrilateral, "--lattice"], 0),
+        ([*quadrilateral, "--lattice", "--minkowski"], 3),  # not a simplex
+        (["polytope", "x^2+y^3+z^5", "--vars", "x,y,z", "--lattice", "--minkowski"], 0),
+    ]:
+        calls.clear()
+        assert cli.run(argv) == code
+        assert len(calls) == 1
     capsys.readouterr()
-    assert calls == []
+    calls.clear()
     assert in_convex_hull((1,), [(0,), (2,)]) and len(calls) == 1
+    assert not in_convex_hull((3,), [(0,), (2,)]) and len(calls) == 2

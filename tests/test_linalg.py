@@ -1,11 +1,19 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from wellpoised import linalg
+from wellpoised import (
+    PreconditionError,
+    equality_polytope_vertices,
+    graded_component,
+    linalg,
+    minimal_semigroup_generators,
+)
+from wellpoised.okounkov import _positive_functional
 from oracles import gauss_solve_unique, rank_by_minors, row_space_equal, rref, simplex_fraction
 
 
@@ -87,25 +95,50 @@ def test_solve_unique_agrees_with_oracle():
     assert unique >= 20
 
 
+def dot(a, b):
+    return sum(Fraction(x) * y for x, y in zip(a, b))
+
+
+def in_cone(columns, target):
+    """Is target a non-negative combination of the columns?  On the double
+    description of their cone."""
+    equations, facets, _ = linalg.double_description(columns)
+    return linalg.in_cone(equations, facets, target)
+
+
+def positive_functional(columns):
+    return _positive_functional(columns, linalg.double_description(columns)[1])
+
+
+def lp_by_vertices(cost, rows, rhs):
+    """Minimise cost . x subject to rows . x = rhs and x >= 0 on the double
+    description kernel.  Returns ("infeasible", None) when rhs lies outside
+    the cone of the columns; ("unbounded", None) when some r >= 0 with
+    rows . r = 0 has cost . r = -1, that is when (0, ..., 0, -1) lies in the
+    cone of the columns of [rows; cost]; otherwise ("optimal", the vertices
+    of least cost, in graded-lex order)."""
+    columns = list(zip(*rows))
+    if not in_cone(columns, rhs):
+        return "infeasible", None
+    if in_cone([(*col, c) for col, c in zip(columns, cost)], [0] * len(rows) + [-1]):
+        return "unbounded", None
+    vertices = equality_polytope_vertices(list(zip(rows, rhs)), len(cost))
+    least = min(dot(cost, v) for v in vertices)
+    return "optimal", [v for v in vertices if dot(cost, v) == least]
+
+
 def test_simplex_square():
     # 0 <= x <= 2, 1 <= y <= 3 in standard form: x + s = 2, y - t = 1, y + u = 3
     rows = [[1, 0, 1, 0, 0], [0, 1, 0, -1, 0], [0, 1, 0, 0, 1]]
-    status, pt = linalg.simplex([0] * 5, rows, [2, 1, 3])
-    assert status == linalg.OPTIMAL
-    x, y = pt[:2]
-    assert 0 <= x <= 2 and 1 <= y <= 3
-    assert linalg.simplex([-1, -1, 0, 0, 0], rows, [2, 1, 3]) == (
-        linalg.OPTIMAL,
-        (2, 3, 0, 2, 0),
-    )
+    status, corners = lp_by_vertices([0] * 5, rows, [2, 1, 3])
+    assert status == "optimal"
+    assert sorted((x, y) for x, y, *_ in corners) == [(0, 1), (0, 3), (2, 1), (2, 3)]
+    assert lp_by_vertices([-1, -1, 0, 0, 0], rows, [2, 1, 3]) == ("optimal", [(2, 3, 0, 2, 0)])
 
 
 def test_simplex_infeasible():
     # x >= 1 and x <= 0: x - s = 1, x + t = 0
-    assert linalg.simplex([0, 0, 0], [[1, -1, 0], [1, 0, 1]], [1, 0]) == (
-        linalg.INFEASIBLE,
-        None,
-    )
+    assert lp_by_vertices([0, 0, 0], [[1, -1, 0], [1, 0, 1]], [1, 0]) == ("infeasible", None)
 
 
 def test_simplex_random_constructed():
@@ -123,62 +156,61 @@ def test_simplex_random_constructed():
             [*c, *(-x for x in c), *(-int(i == j) for j in range(len(ineqs)))]
             for i, (c, _) in enumerate(ineqs)
         ]
-        status, sol = linalg.simplex([0] * len(rows[0]), rows, [lo for _, lo in ineqs])
-        assert status == linalg.OPTIMAL
-        assert all(v >= 0 for v in sol)
-        pt = [sol[j] - sol[n + j] for j in range(n)]
-        for coeffs, lo in ineqs:
-            assert sum(c * x for c, x in zip(coeffs, pt)) >= lo
+        status, vertices = lp_by_vertices([0] * len(rows[0]), rows, [lo for _, lo in ineqs])
+        assert status == "optimal"
+        for sol in vertices:
+            assert all(v >= 0 for v in sol)
+            pt = [sol[j] - sol[n + j] for j in range(n)]
+            for coeffs, lo in ineqs:
+                assert sum(c * x for c, x in zip(coeffs, pt)) >= lo
 
 
 def test_simplex_coordinate_bounds():
     # x + y >= 2, x <= 5, y <= 5 over x, y >= 0: x ranges over [0, 5]
     rows = [[1, 1, -1, 0, 0], [1, 0, 0, 1, 0], [0, 1, 0, 0, 1]]
     rhs = [2, 5, 5]
-    assert linalg.simplex([1, 0, 0, 0, 0], rows, rhs)[1][0] == 0
-    assert linalg.simplex([-1, 0, 0, 0, 0], rows, rhs)[1][0] == 5
+    assert {v[0] for v in lp_by_vertices([1, 0, 0, 0, 0], rows, rhs)[1]} == {0}
+    assert {v[0] for v in lp_by_vertices([-1, 0, 0, 0, 0], rows, rhs)[1]} == {5}
     # only x, y >= 0: y is unbounded above
-    assert linalg.simplex([0, -1], [[0, 0]], [0]) == (linalg.UNBOUNDED, None)
-    assert linalg.simplex([0, 1], [[0, 0]], [0]) == (linalg.OPTIMAL, (0, 0))
+    assert lp_by_vertices([0, -1], [[0, 0]], [0]) == ("unbounded", None)
+    assert lp_by_vertices([0, 1], [[0, 0]], [0]) == ("optimal", [(0, 0)])
 
 
 def test_simplex_coordinate_bounds_infeasible():
     # x >= 2 and x <= 1
     rows = [[1, -1, 0], [1, 0, 1]]
-    assert linalg.simplex([1, 0, 0], rows, [2, 1])[0] == linalg.INFEASIBLE
-    assert linalg.simplex([-1, 0, 0], rows, [2, 1])[0] == linalg.INFEASIBLE
+    assert lp_by_vertices([1, 0, 0], rows, [2, 1])[0] == "infeasible"
+    assert lp_by_vertices([-1, 0, 0], rows, [2, 1])[0] == "infeasible"
+
+
+BEALE_COST = [Fraction(-3, 4), 150, Fraction(-1, 50), 6, 0, 0, 0]
+BEALE_ROWS = [
+    [Fraction(1, 4), -60, Fraction(-1, 25), 9, 1, 0, 0],
+    [Fraction(1, 2), -90, Fraction(-1, 50), 3, 0, 1, 0],
+    [0, 0, 1, 0, 0, 0, 1],
+]
+# A fourth row with target 0 that makes a Phase I simplex's reduced costs
+# equal Beale's costs; it forces x3 = x7 = 0 against x3 + x7 = 1.
+BEALE_FOURTH = [-c - sum(r[j] for r in BEALE_ROWS) for j, c in enumerate(BEALE_COST)]
 
 
 def test_simplex_beale_degenerate_cycle():
-    # Beale's LP (in Chvatal's form): the largest-coefficient rule cycles on
-    # it from the slack basis; Bland's rule reaches the optimum -1/20.
-    cost = [Fraction(-3, 4), 150, Fraction(-1, 50), 6, 0, 0, 0]
-    rows = [
-        [Fraction(1, 4), -60, Fraction(-1, 25), 9, 1, 0, 0],
-        [Fraction(1, 2), -90, Fraction(-1, 50), 3, 0, 1, 0],
-        [0, 0, 1, 0, 0, 0, 1],
-    ]
-    status, x = linalg.simplex(cost, rows, [0, 0, 1])
-    assert status == linalg.OPTIMAL
-    assert x == (Fraction(1, 25), 0, 1, 0, Fraction(3, 100), 0, 0)
-    assert sum(c * v for c, v in zip(cost, x)) == Fraction(-1, 20)
-    # Phase I starts from artificials, not slacks.  A fourth row with target
-    # 0 makes Phase I's reduced costs equal Beale's costs, so Phase I itself
-    # starts on the cycling tableau; the row forces x3 = x7 = 0 against
-    # x3 + x7 = 1, and Bland's rule must stop and report it.
-    fourth = [-c - sum(r[j] for r in rows) for j, c in enumerate(cost)]
-    assert linalg.simplex([0] * 7, rows + [fourth], [0, 0, 1, 0]) == (
-        linalg.INFEASIBLE,
-        None,
-    )
+    # Beale's LP (in Chvatal's form): the largest-coefficient simplex rule
+    # cycles on its degenerate vertex 0; its optimum is -1/20
+    status, best = lp_by_vertices(BEALE_COST, BEALE_ROWS, [0, 0, 1])
+    assert status == "optimal"
+    assert best == [(Fraction(1, 25), 0, 1, 0, Fraction(3, 100), 0, 0)]
+    assert dot(BEALE_COST, best[0]) == Fraction(-1, 20)
+    beale_infeasible = ([0] * 7, BEALE_ROWS + [BEALE_FOURTH], [0, 0, 1, 0])
+    assert lp_by_vertices(*beale_infeasible) == ("infeasible", None)
+
+
+REDUNDANT_ROWS = [[1, 1, 0], [2, 2, 0], [0, 0, 0], [0, 1, 1]]
 
 
 def test_simplex_redundant_rows():
-    # a repeated equality and an all-zero row leave artificial rows to drop
-    rows = [[1, 1, 0], [2, 2, 0], [0, 0, 0], [0, 1, 1]]
-    status, x = linalg.simplex([0, 0, -1], rows, [1, 2, 0, 3])
-    assert status == linalg.OPTIMAL
-    assert x == (1, 0, 3)
+    # a repeated equality and an all-zero row
+    assert lp_by_vertices([0, 0, -1], REDUNDANT_ROWS, [1, 2, 0, 3]) == ("optimal", [(1, 0, 3)])
 
 
 def random_entry(rng, bound=4):
@@ -209,28 +241,112 @@ def random_lp(rng):
 
 
 def test_simplex_matches_fraction_oracle():
-    # same status and same vertex as a Fraction-tableau Bland simplex: on
-    # degenerate inputs an equal vertex means the pivot path is the same
+    # same status as a Fraction-tableau Bland simplex, whose optimum is a
+    # vertex of least cost
     rng = random.Random(31)
     statuses = []
     for _ in range(400):
         cost, rows, rhs = random_lp(rng)
-        status, x = linalg.simplex(cost, rows, rhs)
-        assert (status, x) == simplex_fraction(cost, rows, rhs)
-        assert x is None or all(type(v) is Fraction for v in x)
+        status, best = lp_by_vertices(cost, rows, rhs)
+        expected, x = simplex_fraction(cost, rows, rhs)
+        assert status == expected
+        assert x is None or x in best
         statuses.append(status)
-    for status in (linalg.OPTIMAL, linalg.INFEASIBLE, linalg.UNBOUNDED):
+    for status in ("optimal", "infeasible", "unbounded"):
         assert statuses.count(status) >= 40
-    # Beale's LP with the fourth row that starts Phase I on the cycling tableau
-    cost = [Fraction(-3, 4), 150, Fraction(-1, 50), 6, 0, 0, 0]
-    rows = [
-        [Fraction(1, 4), -60, Fraction(-1, 25), 9, 1, 0, 0],
-        [Fraction(1, 2), -90, Fraction(-1, 50), 3, 0, 1, 0],
-        [0, 0, 1, 0, 0, 0, 1],
+    beale = (BEALE_COST, BEALE_ROWS, [0, 0, 1])
+    for lp in (beale, ([0] * 7, BEALE_ROWS + [BEALE_FOURTH], [0, 0, 1, 0])):
+        expected, x = simplex_fraction(*lp)
+        status, best = lp_by_vertices(*lp)
+        assert status == expected and (x is None or x in best)
+
+
+NONNEGATIVE_CASES = [
+    ([[1, 1]], [1]),  # x + y = 1 with x, y >= 0: feasible
+    ([[1, 1]], [-1]),  # x + y = -1 with x, y >= 0: infeasible
+    ([[1, -1], [1, 1]], [0, 2]),  # x - y = 0, x + y = 2: unique (1, 1)
+    ([[1, -1], [1, 1]], [0, -2]),
+]
+
+
+def lp_feasible(rows, rhs):
+    return simplex_fraction([0] * len(rows[0]), rows, rhs)[0] != "infeasible"
+
+
+def test_double_description_matches_the_lp_oracle():
+    # cone membership and the positive functional against Fraction-tableau
+    # LPs: rhs is in the cone of the columns when rows . x = rhs has a
+    # solution x >= 0, and a functional phi positive on every column exists
+    # when (p - q) . v - s_v = 1 has one with p, q, s >= 0
+    rng = random.Random(47)
+    systems = [
+        *NONNEGATIVE_CASES,
+        (BEALE_ROWS, [0, 0, 1]),
+        (BEALE_ROWS + [BEALE_FOURTH], [0, 0, 1, 0]),
+        (REDUNDANT_ROWS, [1, 2, 0, 3]),
     ]
-    fourth = [-c - sum(r[j] for r in rows) for j, c in enumerate(cost)]
-    for lp in ((cost, rows, [0, 0, 1]), ([0] * 7, rows + [fourth], [0, 0, 1, 0])):
-        assert linalg.simplex(*lp) == simplex_fraction(*lp)
+    for _ in range(500):
+        n = rng.randint(1, 8)
+        rows = [[rng.randint(-3, 5) for _ in range(n)] for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.15:  # a zero column
+            j = rng.randrange(n)
+            for row in rows:
+                row[j] = 0
+        if rng.random() < 0.5:  # in the cone by construction
+            point = [rng.randint(0, 2) for _ in range(n)]
+            rhs = [dot(row, point) for row in rows]
+        else:
+            rhs = [rng.randint(-3, 5) for _ in rows]
+        systems.append((rows, rhs))
+    seen = Counter()
+    for rows, rhs in systems:
+        columns = list(zip(*rows))
+        equations, facets, masks = linalg.double_description(columns)
+        for j, v in enumerate(columns):
+            assert all(dot(e, v) == 0 for e in equations)
+            for f, mask in zip(facets, masks):
+                assert dot(f, v) >= 0 and (dot(f, v) == 0) == bool(mask >> j & 1)
+        member = linalg.in_cone(equations, facets, rhs)
+        assert member == lp_feasible(rows, rhs)
+        phi = _positive_functional(columns, facets)
+        k = len(columns)
+        surplus = [
+            [*v, *(-x for x in v), *(-int(i == j) for j in range(k))] for i, v in enumerate(columns)
+        ]
+        assert (phi is not None) == lp_feasible(surplus, [1] * k)
+        assert phi is None or all(dot(phi, v) > 0 for v in columns)
+        seen[member, phi is not None] += 1
+    assert min(seen[key] for key in itertools.product((False, True), repeat=2)) >= 25
+
+
+def test_double_description_edge_cones():
+    # the upper half-plane holds a line: no functional is positive on it
+    half = [(1, 0), (-1, 0), (0, 1)]
+    assert positive_functional(half) is None
+    assert in_cone(half, (-5, 0)) and in_cone(half, (3, 2)) and not in_cone(half, (0, -1))
+    # a line alone has no facets: membership is the equations
+    line = [(1, 1, 0), (-2, -2, 0)]
+    equations, facets, masks = linalg.double_description(line)
+    assert len(equations) == 2 and facets == () and masks == []
+    assert positive_functional(line) is None
+    assert in_cone(line, (-4, -4, 0)) and in_cone(line, (3, 3, 0))
+    assert not in_cone(line, (1, 0, 0)) and not in_cone(line, (1, 1, 1))
+    # a quadrant in a plane of 3-space: one equation, two facets
+    plane = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0)]
+    equations, facets, masks = linalg.double_description(plane)
+    assert len(equations) == 1 and len(facets) == 2 and sorted(masks) == [0b01, 0b10]
+    phi = positive_functional(plane)
+    assert phi is not None and all(dot(phi, v) > 0 for v in plane)
+    assert in_cone(plane, (1, 2, 0)) and in_cone(plane, (0, 0, 0))
+    assert not in_cone(plane, (1, 2, 1)) and not in_cone(plane, (-1, 2, 0))
+    # a zero column: no functional is positive on it
+    assert positive_functional([(1, 0), (0, 0)]) is None
+    assert positive_functional([(0, 0)]) is None
+    # no vectors at all
+    assert linalg.double_description([]) == ((), (), [])
+    with pytest.raises(PreconditionError):
+        minimal_semigroup_generators([])
+    assert graded_component([((), 0)], 0) == [()]
 
 
 def rational_gauss_jordan_row(m, r, c, i):
@@ -292,13 +408,8 @@ def test_rref_matches_sympy():
 
 
 def test_nonnegative_solution_exists():
-    # x + y = 1 with x, y >= 0: feasible
-    assert linalg.nonnegative_solution_exists([[1, 1]], [1])
-    # x + y = -1 with x, y >= 0: infeasible
-    assert not linalg.nonnegative_solution_exists([[1, 1]], [-1])
-    # x - y = 0, x + y = 2: unique (1, 1)
-    assert linalg.nonnegative_solution_exists([[1, -1], [1, 1]], [0, 2])
-    assert not linalg.nonnegative_solution_exists([[1, -1], [1, 1]], [0, -2])
+    for (rows, rhs), feasible in zip(NONNEGATIVE_CASES, [True, False, True, False]):
+        assert in_cone(list(zip(*rows)), rhs) == feasible
 
 
 def test_primitive_integer():

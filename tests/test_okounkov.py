@@ -288,23 +288,23 @@ def test_graded_component_without_coordinates():
     assert graded_component([((), 0), ((), Fraction(1, 2))], 0) == []
 
 
-def test_graded_component_makes_one_simplex_call(monkeypatch):
+def test_graded_component_makes_one_double_description_call(monkeypatch):
     calls = []
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    real = linalg.simplex
-    monkeypatch.setattr(linalg, "simplex", counted)
+    real = linalg.double_description
+    monkeypatch.setattr(linalg, "double_description", counted)
     assert len(graded_component(DP_CONSTRAINTS, 5)) == 34
     assert len(calls) == 1
-    # no positive functional: one more call tells infinite from empty
+    # no positive functional: the same call's facets tell infinite from empty
     calls.clear()
     with pytest.raises(PreconditionError):
         graded_component([((1, -1), 0)], 2)
     assert graded_component([((1, 0), -1)], 2) == []
-    assert len(calls) == 4
+    assert len(calls) == 2
 
 
 def random_rational(rng, bound=3):
@@ -392,11 +392,16 @@ def test_equality_polytope_vertices_del_pezzo():
 
 def test_equality_polytope_vertices_match_zero_set_oracle():
     rng = random.Random(37)
-    kinds = set()
-    for _ in range(120):
-        n = rng.randint(1, 6)
-        rows = [[rng.randint(-2, 3) for _ in range(n)] for _ in range(rng.randint(1, 3))]
-        kind = rng.choice(["planted", "redundant", "zero", "zero target", "any"])
+    kinds, many_vertices = set(), 0
+    for draw in range(130):
+        # the last draws have many columns and rows: n up to 12, 4-6 rows
+        many = draw >= 120
+        n = rng.randint(8, 12) if many else rng.randint(1, 6)
+        count = rng.randint(4, 6) if many else rng.randint(1, 3)
+        rows = [[rng.randint(-2, 3) for _ in range(n)] for _ in range(count)]
+        # a zero target leaves the origin as the only vertex: small draws only
+        small_only = [] if many else ["zero target"]
+        kind = rng.choice(["planted", "redundant", "zero", *small_only, "any"])
         point = [rng.randint(0, 3) for _ in range(n)]
         if kind == "redundant":
             rows.append([2 * a - b for a, b in zip(rows[0], rows[-1])])
@@ -412,8 +417,10 @@ def test_equality_polytope_vertices_match_zero_set_oracle():
         assert set(vertices) == expected
         assert len(vertices) == len(expected)
         kinds.add((kind, bool(expected)))
+        many_vertices += many and len(vertices)
     assert ("any", False) in kinds and ("any", True) in kinds
     assert ("zero target", True) in kinds
+    assert many_vertices >= 150
 
 
 def test_projected_bodies_reproduce_planar_figures():
