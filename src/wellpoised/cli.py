@@ -178,9 +178,11 @@ def _cmd_project(args) -> dict:
         points = _load_points(args.points)
     else:
         constraints, n = _constraints(args)
-        points = okounkov.equality_polytope_vertices(constraints, n)
+        points, rays = okounkov._nonnegative_polyhedron(constraints, n)
         if not points:
             raise PreconditionError("the equality polytope is empty")
+        if rays:
+            raise PreconditionError("the equality polytope is unbounded")
     if any(len(r) != len(points[0]) for r in rows):
         raise UsageError("projection rows must match the point dimension")
     body = okounkov.projected_body(points, rows)

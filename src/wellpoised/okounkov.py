@@ -5,16 +5,17 @@ the kernel basis vectors, and the rays of the complement of S; its columns
 are the variable valuations and generate the value semigroup.  Dividing each
 column by the degree its variable carries under a positive grading and taking
 the convex hull produces the Newton-Okounkov body.  The module also handles
-the bounded enumeration of graded components and the polygon projections used
-to reproduce planar bodies exactly.
+graded components, read off the vertices and rays of {a >= 0 : R a = t}, and
+the polygon projections used to reproduce planar bodies exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import linalg
 from .fan import lineality_basis, ray_generator
@@ -90,23 +91,6 @@ def _positive_functional(vectors: Sequence[Point], facets: Sequence) -> Optional
     return phi if all(sum(map(mul, phi, v)) > 0 for v in vectors) else None
 
 
-def _integer_combinations(
-    columns: Sequence[Point], target: Sequence, phi: Sequence
-) -> Iterator[tuple[int, ...]]:
-    """Yield the integer c >= 0 with sum of c_j * columns[j] == target.
-
-    phi is positive on every column, so phi(target) = sum of c_j * phi(columns[j])
-    bounds each c_j by phi(target) / phi(columns[j]).
-    """
-
-    def value(v):
-        return sum(map(mul, phi, v))
-
-    rows = [[col[i] for col in columns] for i in range(len(target))]
-    bounds = [(0, value(target) // value(col)) for col in columns]
-    return linalg.integer_points(rows, target, bounds)
-
-
 def minimal_semigroup_generators(vectors: Iterable[Sequence]) -> tuple[Point, ...]:
     """Irredundant subset of the given generators.
 
@@ -123,10 +107,13 @@ def minimal_semigroup_generators(vectors: Iterable[Sequence]) -> tuple[Point, ..
         raise PreconditionError(
             "no strictly positive functional; minimal generators are undefined"
         )
+    value = {g: sum(map(mul, phi, g)) for g in gens}
     kept = list(gens)
     for g in gens:
         others = [h for h in kept if h != g]
-        if others and next(_integer_combinations(others, g, phi), None) is not None:
+        rows = [[h[i] for h in others] for i in range(len(g))]
+        bounds = [(0, value[g] // value[h]) for h in others]
+        if others and next(linalg.integer_points(rows, g, bounds), None) is not None:
             kept = others
     return tuple(kept)
 
@@ -245,51 +232,60 @@ def _split_constraints(constraints: Sequence[Constraint], n: int) -> tuple[list,
     return [row for row, _ in constraints], [t for _, t in constraints]
 
 
+def _nonnegative_polyhedron(constraints: Sequence[Constraint], n: int) -> tuple[list, list]:
+    """The vertices, in graded-lex order, and the extreme rays of
+    {a >= 0 : row . a = target for all constraints}: the extreme rays (a, s)
+    of C = {(a, s) >= 0 : R a = t s} with s > 0, scaled to s = 1, and with
+    s = 0.  With the equations of the cone that the rows of [R | -t]
+    generate as the columns of an integer matrix K (they span its kernel),
+    C = {K y : K y >= 0}.  The extreme rays y of {y : K y >= 0} are the
+    facets of the cone that the rows of K generate, and row i of K reads
+    coordinate i of (a, s) = K y off each of them, so the rays are integer.
+    """
+    rows, targets = _split_constraints(constraints, n)
+    kernel, _, _ = linalg.double_description([[*row, -t] for row, t in zip(rows, targets)])
+    coordinates = list(zip(*kernel))
+    vertices, rays = [], []
+    for y in linalg.double_description(coordinates)[1]:
+        *a, s = (sum(map(mul, y, k)) for k in coordinates)
+        if s:
+            vertices.append(tuple(Fraction(x, s) if x % s else x // s for x in a))
+        else:
+            rays.append(tuple(a))
+    return sorted(vertices, key=graded_lex_key), rays
+
+
 def graded_component(constraints: Sequence[Constraint], n: int) -> list[Exponent]:
     """All non-negative integer solutions of the given equalities.
 
-    One double description of the cone of the columns gives its equations
-    and facets, and the sum of the facets is a functional phi positive on
-    every column when there is one.  Then phi(target) bounds every
-    coordinate and the integer-point kernel solves the equalities inside
-    those bounds.  When there is none, some a >= 0 other than 0 solves the
-    homogeneous system (Gordan's alternative), so the component is empty
-    when the target lies outside the cone of the columns and infinite,
-    which raises, otherwise.  Output is sorted in graded-lex order.
+    Their polyhedron P holds no line: it is empty without a vertex, else
+    conv(V) + cone(W) for its vertices V and rays W (Schrijver, Theory of
+    Linear and Integer Programming, 1986, section 16).  An integer point of
+    P minus whole multiples of the rays lies in the box 0 <= a_j <= max over
+    V of v_j + sum over W of w_j, which the integer-point kernel searches;
+    with rays one point there gives infinitely many, which raises.  Output
+    is sorted in graded-lex order.
     """
     rows, targets = _split_constraints(constraints, n)
-    columns = [tuple(row[j] for row in rows) for j in range(n)]
-    equations, facets, _ = linalg.double_description(columns)
-    # with no columns phi = () is positive on each of them
-    phi = _positive_functional(columns, facets)
-    if phi is None:
-        if linalg.in_cone(equations, facets, targets):
-            raise PreconditionError("the graded component is infinite")
+    vertices, rays = _nonnegative_polyhedron(constraints, n)
+    if not vertices:
         return []
-    return sorted(_integer_combinations(columns, targets, phi), key=graded_lex_key)
+    bounds = [(0, math.floor(max(v[j] for v in vertices)) + sum(w[j] for w in rays))
+              for j in range(n)]
+    points = linalg.integer_points(rows, targets, bounds)
+    if not rays:
+        return sorted(points, key=graded_lex_key)
+    if next(points, None) is not None:
+        raise PreconditionError("the graded component is infinite")
+    return []
 
 
 def equality_polytope_vertices(
     constraints: Sequence[Constraint], n: int
 ) -> list[Point]:
-    """Vertices of {a >= 0 : row . a = target for all constraints}.
-
-    They are the extreme rays (a, s) of the cone C = {(a, s) >= 0 : R a = t s}
-    with s > 0, scaled to s = 1.  The equations of the cone that the rows of
-    [R | -t] generate span the kernel of [R | -t]; with them as the columns
-    of an integer matrix K, C = {K y : K y >= 0}.  The extreme rays y of
-    {y : K y >= 0} are the facets of the cone that the rows of K generate,
-    and row i of K reads coordinate i of (a, s) = K y off each of them.
-    """
-    rows, targets = _split_constraints(constraints, n)
-    kernel, _, _ = linalg.double_description([[*row, -t] for row, t in zip(rows, targets)])
-    coordinates = list(zip(*kernel))
-    found = []
-    for ray in linalg.double_description(coordinates)[1]:
-        *a, s = (sum(map(mul, ray, k)) for k in coordinates)
-        if s > 0:
-            found.append(canonical_point([Fraction(x, s) for x in a]))
-    return sorted(found, key=graded_lex_key)
+    """Vertices of {a >= 0 : row . a = target for all constraints}, in
+    graded-lex order (without the rays of an unbounded set)."""
+    return _nonnegative_polyhedron(constraints, n)[0]
 
 
 def projected_body(points: Sequence[Sequence], rows: Sequence[Sequence]) -> OkounkovBody:

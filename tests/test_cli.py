@@ -127,6 +127,10 @@ def test_graded_component(capsys):
     doc = json.loads(out)
     assert doc["count"] == 3
     assert doc["exponents"] == [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 1]]
+    # 2 a1 = 1 holds on a ray of rational points, but at no integer point
+    argv = ["graded", "--eq-rows", "2,0", "--eq-targets", "1", "--dim", "2"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and json.loads(out)["count"] == 0
 
 
 def test_project_from_equalities(capsys):
@@ -291,6 +295,8 @@ def test_precondition_exit_code(capsys):
         ["polytope", "1+x+y+x*y", "--vars", "x,y", "--lattice", "--minkowski"],
         # x + y = -1 has no non-negative solution: the polytope is empty
         ["project", "--rows", "1,1", "--eq-rows", "1,1", "--eq-targets", "-1", "--dim", "2"],
+        # x = y holds on the ray of (1, 1): no polytope to project
+        ["project", "--rows", "1,1", "--eq-rows", "1,-1", "--eq-targets", "0", "--dim", "2"],
         # x = y has the non-negative solutions (t, t) for every t: infinitely many
         ["graded", "--eq-rows", "1,-1", "--eq-targets", "0", "--dim", "2"],
     ):

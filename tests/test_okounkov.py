@@ -6,15 +6,19 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wellpoised import (
     PreconditionError,
+    SparsePolynomial,
     equality_polytope_vertices,
+    exponent_gcd,
     global_nok_cone,
     graded_component,
     graded_lex_key,
     grading_image,
     homogeneity_vector,
+    is_well_poised,
     minimal_semigroup_generators,
     nok_body,
     parse,
@@ -276,9 +280,66 @@ def test_graded_component_del_pezzo_quotient_counts():
         assert count(6 * n) - count(6 * n - 2) == 12 * n**2 + 6 * n + 1
 
 
+@st.composite
+def well_poised_polynomials(draw):
+    """Terms on disjoint blocks of 2-4 variables with pairwise coprime
+    exponent vectors, now and then with one more variable in no term."""
+    used = draw(st.integers(2, 4))
+    order = draw(st.permutations(range(used)))
+    cuts = sorted(draw(st.sets(st.integers(1, used - 1), min_size=1)))
+    n = used + draw(st.integers(0, 1))
+    exponents = []
+    for block in (order[a:b] for a, b in zip([0, *cuts], [*cuts, used])):
+        e = [0] * n
+        for j in block:
+            e[j] = draw(st.integers(1, 3))
+        exponents.append(tuple(e))
+    pairs = itertools.combinations(exponents, 2)
+    if any(exponent_gcd(a, b) != 1 for a, b in pairs):
+        return draw(st.nothing())
+    return SparsePolynomial.from_terms((1, e) for e in exponents)
+
+
+def valuation_counts(f, subset, t):
+    """The number of distinct values M_S . a over the a >= 0 of degree t, and
+    #{a : d . a = t} - #{a : d . a = t - D}, the dimension of the degree-t
+    part of k[x]/f, for the grading d = the homogeneity vector with 1 on
+    variables in no term and the degree D of f under it."""
+    d = [x or 1 for x in homogeneity_vector(f)]
+    degree = sum(e * w for e, w in zip(f.terms[0].exponent, d))
+    rows = valuation_matrix(f, subset).rows
+    component = graded_component([(d, t)], f.n)
+    values = {tuple(sum(r * x for r, x in zip(row, a)) for row in rows) for a in component}
+    return len(values), len(component) - len(graded_component([(d, t - degree)], f.n))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(well_poised_polynomials())
+def test_valuations_count_the_quotient_in_every_degree(f):
+    # M_S has kernel spanned by the primitive difference of the two exponents
+    # in S, so its values are the monomials modulo a prime binomial initial
+    # form of f, whose quotient has the Hilbert function of k[x]/f
+    assert is_well_poised(f).well_poised
+    degree = math.lcm(*(sum(term.exponent) for term in f.terms))
+    for subset in itertools.combinations(range(1, f.k + 1), 2):
+        for t in range(2 * degree + 2):
+            values, dimension = valuation_counts(f, subset, t)
+            assert values == dimension
+
+
+def test_valuation_counts_fail_without_well_poisedness():
+    # x^2 and z^6 share the factor 2: their difference is not primitive
+    f = parse("x^2 + y^3 + z^6", ["x", "y", "z"])
+    assert valuation_counts(f, (1, 3), 3) == (2, 3)
+
+
 def test_graded_component_unbounded_raises():
-    with pytest.raises(PreconditionError):
-        graded_component([((1, -1), 0)], 2)
+    for constraints in ([((1, -1), 0)], [((0, 0), 0)]):
+        with pytest.raises(PreconditionError):
+            graded_component(constraints, 2)
+    # a recession ray but no integer point: 2 a1 = 1 and 2 a1 - 2 a2 = 1
+    assert graded_component([((2, 0), 1)], 2) == []
+    assert graded_component([((2, -2), 1)], 2) == []
 
 
 def test_graded_component_without_coordinates():
@@ -288,7 +349,7 @@ def test_graded_component_without_coordinates():
     assert graded_component([((), 0), ((), Fraction(1, 2))], 0) == []
 
 
-def test_graded_component_makes_one_double_description_call(monkeypatch):
+def test_graded_component_shares_the_vertex_double_descriptions(monkeypatch):
     calls = []
 
     def counted(*args):
@@ -297,14 +358,18 @@ def test_graded_component_makes_one_double_description_call(monkeypatch):
 
     real = linalg.double_description
     monkeypatch.setattr(linalg, "double_description", counted)
-    assert len(graded_component(DP_CONSTRAINTS, 5)) == 34
-    assert len(calls) == 1
-    # no positive functional: the same call's facets tell infinite from empty
-    calls.clear()
-    with pytest.raises(PreconditionError):
-        graded_component([((1, -1), 0)], 2)
-    assert graded_component([((1, 0), -1)], 2) == []
-    assert len(calls) == 2
+    # bounded, infinite and empty: the two calls that find the vertices and
+    # the rays decide, and none runs on the columns
+    for constraints, n in ((DP_CONSTRAINTS, 5), ([((1, -1), 0)], 2), ([((1, 0), -1)], 2)):
+        calls.clear()
+        equality_polytope_vertices(constraints, n)
+        expected = list(calls)
+        calls.clear()
+        try:
+            graded_component(constraints, n)
+        except PreconditionError:
+            pass
+        assert len(calls) == 2 and calls == expected
 
 
 def random_rational(rng, bound=3):
@@ -332,8 +397,7 @@ def bounded_system(rng, n):
 
 def unbounded_system(rng, n):
     """Rows with rational entries that vanish on a direction r >= 0, r != 0
-    (a zero column when r is a unit vector), targets planted at a point
-    a >= 0, and r."""
+    (a zero column when r is a unit vector), a point a >= 0, and r."""
     r = [rng.randint(0, 2) for _ in range(n)] if rng.random() < 0.6 else [0] * n
     r[rng.randrange(n)] = rng.randint(1, 2)
     rows = []
@@ -342,8 +406,12 @@ def unbounded_system(rng, n):
         j = rng.choice([i for i in range(n) if r[i]])
         row[j] = -Fraction(sum(a * x for i, (a, x) in enumerate(zip(row, r)) if i != j), r[j])
         rows.append(row)
-    point = [rng.randint(0, 2) for _ in range(n)]
-    return rows, [sum(a * v for a, v in zip(row, point)) for row in rows], r
+    return rows, [rng.randint(0, 2) for _ in range(n)], r
+
+
+def primitive_row(row):
+    d = math.lcm(*(Fraction(x).denominator for x in row))
+    return linalg.primitive_integer([x * d for x in row])
 
 
 def test_graded_component_matches_box_oracle():
@@ -359,11 +427,24 @@ def test_graded_component_matches_box_oracle():
             assert component == sorted(expected, key=graded_lex_key)
             seen[kind, bool(expected)] += 1
             continue
-        rows, targets, r = unbounded_system(rng, n)
+        rows, point, r = unbounded_system(rng, n)
+        targets = [sum(a * v for a, v in zip(row, point)) for row in rows]
+        integer = [primitive_row(row) for row in rows if any(row)]
         if kind == "infinite":
             with pytest.raises(PreconditionError):
                 graded_component(list(zip(rows, targets)), n)
         else:
+            if integer:
+                # the nonzero rows as primitive integer rows M, doubled, at
+                # the point a + e_j / 2 for an odd entry M[0][j]: an odd
+                # target, so rational solutions along r but no integer one
+                j = next(j for j, x in enumerate(integer[0]) if x % 2)
+                half = [x + Fraction(int(i == j), 2) for i, x in enumerate(point)]
+                doubled = [[2 * x for x in row] for row in integer]
+                odd = [sum(a * v for a, v in zip(row, half)) for row in doubled]
+                assert odd[0] % 2 == 1
+                assert graded_component(list(zip(doubled, odd)), n) == []
+                seen["lattice-obstructed"] += 1
             # a row >= 0 that vanishes on r, with a negative target: no
             # solution at all, though the homogeneous system has r
             rows.append([0 if x else rng.randint(0, 2) for x in r])
@@ -373,6 +454,7 @@ def test_graded_component_matches_box_oracle():
     assert seen["bounded", True] >= 40 and seen["bounded", False] >= 15
     for kind in ("infinite", "empty"):
         assert seen[kind, True] >= 5 and seen[kind, False] >= 5
+    assert seen["lattice-obstructed"] >= 20
 
 
 def test_equality_polytope_vertices_del_pezzo():
