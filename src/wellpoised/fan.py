@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -69,8 +70,10 @@ class LinealityBasis:
     v_f: IntVector
     kernel_vectors: tuple[IntVector, ...]
 
-    @property
+    @cached_property
     def rows(self) -> tuple[IntVector, ...]:
+        """v_f then the kernel vectors; one tuple object per basis, so every
+        cone sharing the basis hands the JSON writer the same rows."""
         return (self.v_f, *self.kernel_vectors)
 
     @property

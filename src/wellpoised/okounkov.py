@@ -236,15 +236,21 @@ def _nonnegative_polyhedron(constraints: Sequence[Constraint], n: int) -> tuple[
     """The vertices, in graded-lex order, and the extreme rays of
     {a >= 0 : row . a = target for all constraints}: the extreme rays (a, s)
     of C = {(a, s) >= 0 : R a = t s} with s > 0, scaled to s = 1, and with
-    s = 0.  With the equations of the cone that the rows of [R | -t]
-    generate as the columns of an integer matrix K (they span its kernel),
-    C = {K y : K y >= 0}.  The extreme rays y of {y : K y >= 0} are the
-    facets of the cone that the rows of K generate, and row i of K reads
-    coordinate i of (a, s) = K y off each of them, so the rays are integer.
+    s = 0.  One echelon of [R | -t] gives an integer matrix K whose columns
+    span its kernel: for each free column f, d e_f minus the sum, over the
+    pivot rows p with pivot column c, of (d / p_c) p_f e_c, where d is the
+    lcm of the pivot entries p_c.  Then C = {K y : K y >= 0}.  The extreme
+    rays y of {y : K y >= 0} are the facets of the cone that the rows of K
+    generate, and row i of K reads coordinate i of (a, s) = K y off each of
+    them, so the rays are integer.
     """
     rows, targets = _split_constraints(constraints, n)
-    kernel, _, _ = linalg.double_description([[*row, -t] for row, t in zip(rows, targets)])
-    coordinates = list(zip(*kernel))
+    reduced, pivots = linalg.echelon([[*row, -t] for row, t in zip(rows, targets)])
+    free = [f for f in range(n + 1) if f not in pivots]
+    d = math.lcm(*(p[c] for p, c in zip(reduced, pivots)))
+    coordinates = [[d * (f == i) for f in free] for i in range(n + 1)]
+    for p, c in zip(reduced, pivots):
+        coordinates[c] = [-(d // p[c]) * p[f] for f in free]
     vertices, rays = [], []
     for y in linalg.double_description(coordinates)[1]:
         *a, s = (sum(map(mul, y, k)) for k in coordinates)

@@ -112,46 +112,79 @@ def dumps(doc: dict) -> str:
     and Fraction: its numerator when the denominator is 1, else the string
     "numerator/denominator" (sign on the numerator).  Anything else, float
     included, raises TypeError.
-    A list of exact ints is rendered once per call and depth: a cone list
-    repeats the same lineality rows and rays in every cone.
+    The writer appends pieces to one list and joins the text once.  A tuple
+    is rendered once per call and depth, found by identity (the document
+    keeps it alive), and its text, the join of its own pieces, is reused: a
+    cone list hands over the same lineality rows and rays in every cone.
+    Equal tuples such as (1, 1) and (1, True) stay apart.
     """
-    memo: dict[tuple, str] = {}
+    pieces: list[str] = []
+    emit = pieces.append
+    memo: dict[tuple[int, str], str] = {}
 
-    def write(value, pad: str) -> str:
+    def write(value, pad: str) -> None:
         t = type(value)
         if t is str:
-            return encode_basestring_ascii(value)
-        if t is int:
-            return int.__repr__(value)
-        if t is Fraction:
+            emit(encode_basestring_ascii(value))
+        elif t is int:
+            emit(int.__repr__(value))
+        elif t is Fraction:
             num = int.__repr__(value.numerator)
-            return num if value.denominator == 1 else f'"{num}/{value.denominator}"'
-        if value is None:
-            return "null"
-        if value is True:
-            return "true"
-        if value is False:
-            return "false"
-        if t is not dict and t is not list and t is not tuple:
-            raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
-        if not value:
-            return "{}" if t is dict else "[]"
-        inner = pad + "  "
-        sep = ",\n" + inner
-        if t is dict:
-            body = sep.join(
-                f"{encode_basestring_ascii(k)}: {write(v, inner)}" for k, v in value.items()
-            )
-            return f"{{\n{inner}{body}\n{pad}}}"
-        if set(map(type, value)) <= _INT:
-            key = (tuple(value), pad)
+            emit(num if value.denominator == 1 else f'"{num}/{value.denominator}"')
+        elif value is None:
+            emit("null")
+        elif value is True:
+            emit("true")
+        elif value is False:
+            emit("false")
+        elif t is tuple:
+            key = (id(value), pad)
             text = memo.get(key)
             if text is None:
-                text = memo[key] = f"[\n{inner}{sep.join(map(int.__repr__, value))}\n{pad}]"
-            return text
-        return f"[\n{inner}{sep.join(write(v, inner) for v in value)}\n{pad}]"
+                start = len(pieces)
+                text = write_array(value, pad)
+                if text is None:
+                    text = "".join(pieces[start:])
+                    del pieces[start:]
+                memo[key] = text
+            emit(text)
+        elif t is list:
+            text = write_array(value, pad)
+            if text is not None:
+                emit(text)
+        elif t is dict:
+            if not value:
+                emit("{}")
+                return
+            inner = pad + "  "
+            lead, sep = "{\n" + inner, ",\n" + inner
+            for k, v in value.items():
+                emit(f"{lead}{encode_basestring_ascii(k)}: ")
+                write(v, inner)
+                lead = sep
+            emit(f"\n{pad}}}")
+        else:
+            raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
-    return write(doc, "") + "\n"
+    def write_array(value, pad: str) -> Optional[str]:
+        # An empty array or a row of plain ints comes back as its text (one
+        # piece, never joined); any other array emits its pieces.
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        lead, sep = "[\n" + inner, ",\n" + inner
+        if set(map(type, value)) <= _INT:
+            return f"{lead}{sep.join(map(int.__repr__, value))}\n{pad}]"
+        for v in value:
+            emit(lead)
+            write(v, inner)
+            lead = sep
+        emit(f"\n{pad}]")
+        return None
+
+    write(doc, "")
+    emit("\n")
+    return "".join(pieces)
 
 
 def render_table(doc: dict) -> str:

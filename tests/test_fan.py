@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from wellpoised import (
+    LinealityBasis,
     PreconditionError,
     classify_weight,
     cone,
@@ -72,6 +73,21 @@ def test_lineality_basis_examples():
     assert row_space_equal(dp_basis.rows, paper_m)
 
     assert lineality_basis(parse("x^2 + y^3 + z^5", ["x", "y", "z"])).kernel_vectors == ()
+
+
+def test_lineality_rows_are_one_tuple_shared_by_every_cone():
+    basis = lineality_basis(F)
+    assert basis.rows is basis.rows
+    assert basis.rows == (basis.v_f, *basis.kernel_vectors)
+    # equality and hash read the two fields only, before and after rows is read
+    twin = LinealityBasis(basis.v_f, basis.kernel_vectors)
+    assert twin == basis and hash(twin) == hash(basis)
+    assert twin.rows == basis.rows and twin.rows is not basis.rows
+    assert twin == basis and hash(twin) == hash(basis)
+    assert LinealityBasis(basis.v_f, ()) != basis
+    cones = tropical_variety(parse("x0*x1 + x2^2*x3 + x4^3*x5 + x6", [f"x{j}" for j in range(7)]))
+    assert len(cones) == 11
+    assert all(c.lineality.rows is cones[0].lineality.rows for c in cones)
 
 
 def test_lineality_basis_unused_variable():

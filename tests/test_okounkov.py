@@ -358,8 +358,8 @@ def test_graded_component_shares_the_vertex_double_descriptions(monkeypatch):
 
     real = linalg.double_description
     monkeypatch.setattr(linalg, "double_description", counted)
-    # bounded, infinite and empty: the two calls that find the vertices and
-    # the rays decide, and none runs on the columns
+    # bounded, infinite and empty: the one call that finds the vertices and
+    # the rays decides, and none runs on the columns
     for constraints, n in ((DP_CONSTRAINTS, 5), ([((1, -1), 0)], 2), ([((1, 0), -1)], 2)):
         calls.clear()
         equality_polytope_vertices(constraints, n)
@@ -369,7 +369,7 @@ def test_graded_component_shares_the_vertex_double_descriptions(monkeypatch):
             graded_component(constraints, n)
         except PreconditionError:
             pass
-        assert len(calls) == 2 and calls == expected
+        assert len(calls) == 1 and calls == expected
 
 
 def random_rational(rng, bound=3):

@@ -67,6 +67,35 @@ def test_same_int_row_at_two_depths():
     assert serialize.dumps(doc) == oracle(doc)
 
 
+def test_one_tuple_object_at_two_depths():
+    row = (1, -2, 3)
+    doc = {"a": [row, row, [1, -2, 3]], "b": {"c": [row]}, "d": row}
+    assert serialize.dumps(doc) == oracle(doc)
+
+
+def test_shared_tuple_holding_a_list_a_fraction_and_a_shared_tuple():
+    inner = (Fraction(-1, 2), 4)
+    outer = ([1, inner, "s"], Fraction(3, 1), inner, None)
+    doc = {"a": outer, "b": [outer, {"c": (outer, inner)}], "d": inner}
+    assert serialize.dumps(doc) == oracle(doc)
+
+
+def test_equal_but_distinct_tuples_render_apart():
+    rows = [(1, True), (1, 1), (1, Fraction(1)), (1, True), (1, 1)]
+    assert len({id(row) for row in rows[:3]}) == 3
+    for doc in (rows, rows[::-1], {"a": rows, "b": [rows]}):
+        assert serialize.dumps(doc) == oracle(doc)
+    assert serialize.dumps([(1, True), (1, 1)]) == "[\n  [\n    1,\n    true\n  ],\n  [\n    1,\n    1\n  ]\n]\n"
+
+
+def test_shared_tuple_holding_a_float_raises():
+    shared = (1, 0.5)
+    with pytest.raises(TypeError):
+        serialize.dumps({"a": [shared, shared], "b": shared})
+    with pytest.raises(TypeError):
+        serialize.dumps([(1, 1), (1, 1.0)])
+
+
 def test_bools_never_print_as_ints():
     for doc in ([[1, 1], [1, True]], [[1, True], [1, 1]], [(0, False), (0, 0)], [True, 1]):
         assert serialize.dumps(doc) == oracle(doc)
@@ -120,4 +149,14 @@ trees = st.recursive(
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(trees)
 def test_random_trees_are_the_oracle_text(doc):
+    assert serialize.dumps(doc) == oracle(doc)
+
+
+# The same generated subtree placed at several depths and several times at one.
+shared_trees = st.builds(lambda t: [t, {"k": t}, (t, t)], trees)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(shared_trees)
+def test_random_shared_subtrees_are_the_oracle_text(doc):
     assert serialize.dumps(doc) == oracle(doc)
