@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Each command is a thin adapter: it parses its inputs, runs one library
-operation, and prints that operation's canonical JSON document (or a human
-table with --format table).  Exit status: 0 on success, 2 for input or
+operation, and builds that operation's JSON document from the library's
+values, with its keys in a fixed order; ``run`` puts ``schema_version``
+first and prints the document with ``serialize.dumps`` (or as a human table
+with --format table).  Exit status: 0 on success, 2 for input or
 validation errors, 3 for violated operation preconditions.  Errors are
 reported as one-line JSON documents on standard error.
 """
@@ -17,8 +19,18 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import fan, geometry, okounkov, serialize
-from .polynomial import ParseError, PreconditionError, SparsePolynomial, is_well_poised, parse
+from .polynomial import (
+    ParseError,
+    PreconditionError,
+    SharedVariableWitness,
+    SparsePolynomial,
+    initial_form,
+    is_well_poised,
+    parse,
+    to_string,
+)
 
+SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_PRECONDITION = 3
@@ -101,27 +113,43 @@ def _constraints(args) -> tuple[list, int]:
 
 def _cmd_check(args) -> dict:
     f = _polynomial(args)
-    return serialize.report_json(is_well_poised(f), f.variables)
+    report = is_well_poised(f)
+    witness = report.witness
+    if isinstance(witness, SharedVariableWitness):
+        witness = {"shared_variable": f.variables[witness.variable], "terms": witness.terms}
+    elif witness is not None:
+        witness = {"gcd": witness.gcd, "terms": witness.terms}
+    return {"well_poised": report.well_poised, "monomial": report.monomial, "witness": witness}
 
 
 def _cmd_polytope(args) -> dict:
     f = _polynomial(args)
     p = geometry.newton_polytope(f)
-    doc = serialize.polytope_json(p)
-    doc["simplex"] = geometry.is_simplex(p)
+    doc = {"n": p.n, "vertices": p.vertices, "simplex": geometry.is_simplex(p)}
     # The witness's census is the lattice census, in the same order.
     report = geometry.minkowski_decomposition_witness(p) if args.minkowski else None
     if args.lattice:
         points = geometry.lattice_points(p) if report is None else report.census
         doc["lattice_points"] = points
     if report is not None:
-        doc["minkowski"] = serialize.minkowski_json(report)
+        doc["minkowski"] = {
+            "trivial_only": report.trivial_only,
+            "census": report.census,
+            "non_vertex_points": report.non_vertex_points,
+        }
     return doc
 
 
 def _cmd_faces(args) -> dict:
     f = _polynomial(args)
-    return {"faces": [serialize.face_json(fd, f) for fd in geometry.faces(f)]}
+    return {"faces": [
+        {
+            "S": face.term_indices,
+            "weight": face.supporting_weight,
+            "initial_form": to_string(initial_form(f, face.supporting_weight)),
+        }
+        for face in geometry.faces(f)
+    ]}
 
 
 def _cmd_trop(args) -> dict:
@@ -134,7 +162,15 @@ def _cmd_trop(args) -> dict:
             "S": subset,
             "in_tropical_variety": len(subset) >= 2,
         }
-    return {"cones": [serialize.cone_json(c) for c in fan.tropical_variety(f)]}
+    return {"cones": [
+        {
+            "S": c.S,
+            "dim": c.dim,
+            "lineality": c.lineality.rows,
+            "rays": [ray.w for ray in c.rays],
+        }
+        for c in fan.tropical_variety(f)
+    ]}
 
 
 def _cmd_matrix(args) -> dict:
@@ -142,7 +178,22 @@ def _cmd_matrix(args) -> dict:
     if args.S is None:
         raise UsageError("--S is required")
     m = okounkov.valuation_matrix(f, _parse_ints(args.S, _SUBSET_ERROR))
-    return serialize.matrix_json(m, f.variables)
+    return {
+        "S": m.S,
+        "rows": m.rows,
+        "valuations": [
+            {"variable": f.variables[j], "value": col} for j, col in enumerate(m.columns())
+        ],
+    }
+
+
+def _body(body: okounkov.OkounkovBody) -> dict:
+    return {
+        "points": body.points,
+        "vertices": body.vertices,
+        "boundary": body.boundary,
+        "area": body.area,
+    }
 
 
 def _cmd_nok(args) -> dict:
@@ -155,9 +206,7 @@ def _cmd_nok(args) -> dict:
     subset = _parse_ints(args.S, _SUBSET_ERROR)
     degree = _parse_ints(args.degree, "expected comma-separated integers")
     body = okounkov.nok_body(f, degree, subset)
-    doc = {"S": sorted(set(subset)), "degree": degree}
-    doc.update(serialize.body_json(body))
-    return doc
+    return {"S": sorted(set(subset)), "degree": degree, **_body(body)}
 
 
 def _cmd_graded(args) -> dict:
@@ -185,8 +234,7 @@ def _cmd_project(args) -> dict:
             raise PreconditionError("the equality polytope is unbounded")
     if any(len(r) != len(points[0]) for r in rows):
         raise UsageError("projection rows must match the point dimension")
-    body = okounkov.projected_body(points, rows)
-    return serialize.body_json(body)
+    return _body(okounkov.projected_body(points, rows))
 
 
 _COMMANDS = {
@@ -270,7 +318,7 @@ def _parser() -> argparse.ArgumentParser:
 def run(argv: Sequence[str]) -> int:
     try:
         args = _parser().parse_args(list(argv))
-        doc = serialize.document(_COMMANDS[args.command](args))
+        doc = {"schema_version": SCHEMA_VERSION, **_COMMANDS[args.command](args)}
     except UsageError as exc:
         _emit_error("validation_error", str(exc))
         return EXIT_VALIDATION

@@ -18,7 +18,7 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from . import linalg
-from .fan import lineality_basis, ray_generator
+from .fan import cone, lineality_basis
 from .geometry import (
     canonical_point,
     convex_hull_2d,
@@ -58,17 +58,11 @@ def valuation_matrix(f: SparsePolynomial, subset: Iterable[int]) -> ValuationMat
     s = tuple(sorted(set(subset)))
     if len(s) != 2:
         raise PreconditionError("the subset S must have exactly two elements")
-    if s[0] < 1 or s[1] > f.k:
-        raise PreconditionError(f"subset {s} not contained in 1..{f.k}")
-    basis = lineality_basis(f)
-    rows = list(basis.rows)
-    for i in range(1, f.k + 1):
-        if i not in s:
-            rows.append(ray_generator(f, i).w)
-    matrix = ValuationMatrix((s[0], s[1]), tuple(rows))
+    c = cone(f, s)
+    rows = (*c.lineality.rows, *(ray.w for ray in c.rays))
     if len(rows) != f.n - 1 or linalg.rank(rows) != f.n - 1:
         raise PreconditionError("valuation matrix is rank deficient")
-    return matrix
+    return ValuationMatrix(c.S, rows)
 
 
 def variable_valuations(m: ValuationMatrix) -> list[tuple[int, tuple[int, ...]]]:
@@ -242,7 +236,7 @@ def _nonnegative_polyhedron(constraints: Sequence[Constraint], n: int) -> tuple[
     lcm of the pivot entries p_c.  Then C = {K y : K y >= 0}.  The extreme
     rays y of {y : K y >= 0} are the facets of the cone that the rows of K
     generate, and row i of K reads coordinate i of (a, s) = K y off each of
-    them, so the rays are integer.
+    them, so the rays are integer; each is divided by its gcd.
     """
     rows, targets = _split_constraints(constraints, n)
     reduced, pivots = linalg.echelon([[*row, -t] for row, t in zip(rows, targets)])
@@ -257,7 +251,7 @@ def _nonnegative_polyhedron(constraints: Sequence[Constraint], n: int) -> tuple[
         if s:
             vertices.append(tuple(Fraction(x, s) if x % s else x // s for x in a))
         else:
-            rays.append(tuple(a))
+            rays.append(linalg.primitive_integer(a))
     return sorted(vertices, key=graded_lex_key), rays
 
 

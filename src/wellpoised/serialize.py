@@ -1,11 +1,12 @@
-"""Canonical JSON encoding of the library's result types.
+"""The bytes of JSON documents: ``dumps`` and a human table view.
 
-Documents hold library values as they are: tuples, ints and ``Fraction``s.
-The writer prints integers and integral rationals as bare JSON numbers and
-other rationals as "p/q" strings, so nothing is ever rounded.  Key order is fixed so identical
-inputs always produce byte-identical documents.  The text is byte for byte
-that of ``json.dumps(doc, indent=2)``, written by a writer that handles only
-the value types documents hold.
+The CLI builds each document, keys in order; this module knows no library
+type and writes what it is given.  Documents hold library values as they
+are: tuples, ints and ``Fraction``s.  The writer prints integers and
+integral rationals as bare JSON numbers and other rationals as "p/q"
+strings, so nothing is ever rounded.  The text is byte for byte that of
+``json.dumps(doc, indent=2)``, written by a writer that handles only the
+value types documents hold.
 """
 
 from __future__ import annotations
@@ -13,96 +14,9 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Optional, Sequence
+from typing import Optional
 
-from .fan import TropicalCone
-from .geometry import FaceDescriptor, LatticePolytope, MinkowskiReport
-from .okounkov import OkounkovBody, ValuationMatrix
-from .polynomial import (
-    CommonFactorWitness,
-    SharedVariableWitness,
-    SparsePolynomial,
-    WellPoisedReport,
-    initial_form,
-    to_string,
-)
-
-SCHEMA_VERSION = 1
 _INT = {int}
-
-
-def report_json(report: WellPoisedReport, variables: Sequence[str]) -> dict:
-    witness = None
-    if isinstance(report.witness, SharedVariableWitness):
-        witness = {
-            "shared_variable": variables[report.witness.variable],
-            "terms": report.witness.terms,
-        }
-    elif isinstance(report.witness, CommonFactorWitness):
-        witness = {
-            "gcd": report.witness.gcd,
-            "terms": report.witness.terms,
-        }
-    return {
-        "well_poised": report.well_poised,
-        "monomial": report.monomial,
-        "witness": witness,
-    }
-
-
-def polytope_json(p: LatticePolytope) -> dict:
-    return {"n": p.n, "vertices": p.vertices}
-
-
-def minkowski_json(report: MinkowskiReport) -> dict:
-    return {
-        "trivial_only": report.trivial_only,
-        "census": report.census,
-        "non_vertex_points": report.non_vertex_points,
-    }
-
-
-def face_json(face: FaceDescriptor, f: SparsePolynomial) -> dict:
-    return {
-        "S": face.term_indices,
-        "weight": face.supporting_weight,
-        "initial_form": to_string(initial_form(f, face.supporting_weight)),
-    }
-
-
-def cone_json(c: TropicalCone) -> dict:
-    return {
-        "S": c.S,
-        "dim": c.dim,
-        "lineality": c.lineality.rows,
-        "rays": [ray.w for ray in c.rays],
-    }
-
-
-def matrix_json(m: ValuationMatrix, variables: Sequence[str]) -> dict:
-    return {
-        "S": m.S,
-        "rows": m.rows,
-        "valuations": [
-            {"variable": variables[j], "value": col}
-            for j, col in enumerate(m.columns())
-        ],
-    }
-
-
-def body_json(body: OkounkovBody) -> dict:
-    return {
-        "points": body.points,
-        "vertices": body.vertices,
-        "boundary": body.boundary,
-        "area": body.area,
-    }
-
-
-def document(payload: dict) -> dict:
-    doc = {"schema_version": SCHEMA_VERSION}
-    doc.update(payload)
-    return doc
 
 
 def dumps(doc: dict) -> str:

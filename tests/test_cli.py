@@ -7,9 +7,9 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wellpoised import cli, serialize
+from wellpoised import cli
 from wellpoised import fan, geometry, okounkov
-from wellpoised.polynomial import is_well_poised, parse
+from wellpoised.polynomial import initial_form, is_well_poised, parse, to_string
 
 from oracles import json_value
 
@@ -20,12 +20,31 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def assert_document(out: str, payload: dict) -> None:
+    """The printed document is schema_version, then the payload, keys in order."""
+    expected = json_value({"schema_version": cli.SCHEMA_VERSION, **payload})
+    doc = json.loads(out)
+    assert doc == expected and list(doc) == list(expected)
+
+
+def body_values(body) -> dict:
+    return {
+        "points": body.points,
+        "vertices": body.vertices,
+        "boundary": body.boundary,
+        "area": body.area,
+    }
+
+
 def test_check_matches_library(capsys):
     code, out, err = run_cli(capsys, ["check", "x^2+y^3+z^5", "--vars", "x,y,z"])
     assert code == 0 and err == ""
     f = parse("x^2+y^3+z^5", ["x", "y", "z"])
-    expected = serialize.document(serialize.report_json(is_well_poised(f), f.variables))
-    assert json.loads(out) == json_value(expected)
+    report = is_well_poised(f)
+    assert report.witness is None
+    assert_document(out, {
+        "well_poised": report.well_poised, "monomial": report.monomial, "witness": None,
+    })
     assert json.loads(out)["well_poised"] is True
 
 
@@ -35,6 +54,9 @@ def test_check_witness_shape(capsys):
     doc = json.loads(out)
     assert doc["well_poised"] is False
     assert doc["witness"] == {"shared_variable": "y", "terms": [1, 2]}
+    code, out, _ = run_cli(capsys, ["check", "x^2+y^2", "--vars", "x,y"])
+    assert code == 0
+    assert json.loads(out)["witness"] == {"gcd": 2, "terms": [1, 2]}
 
 
 def test_polytope_matches_library(capsys):
@@ -43,27 +65,45 @@ def test_polytope_matches_library(capsys):
     assert code == 0
     f = parse("x^2+y^3+z^5", ["x", "y", "z"])
     p = geometry.newton_polytope(f)
-    doc = json.loads(out)
-    assert doc["vertices"] == json_value(serialize.polytope_json(p)["vertices"])
-    assert doc["simplex"] is True
-    assert doc["lattice_points"] == json_value(geometry.lattice_points(p))
-    assert doc["minkowski"]["trivial_only"] is True
+    report = geometry.minkowski_decomposition_witness(p)
+    assert_document(out, {
+        "n": p.n,
+        "vertices": p.vertices,
+        "simplex": True,
+        "lattice_points": geometry.lattice_points(p),
+        "minkowski": {
+            "trivial_only": report.trivial_only,
+            "census": report.census,
+            "non_vertex_points": report.non_vertex_points,
+        },
+    })
+    assert json.loads(out)["minkowski"]["trivial_only"] is True
 
 
 def test_faces_matches_library(capsys):
     code, out, _ = run_cli(capsys, ["faces", "x+y^2+z*w", "--vars", "x,y,z,w"])
     assert code == 0
     f = parse("x+y^2+z*w", ["x", "y", "z", "w"])
-    expected = [serialize.face_json(d, f) for d in geometry.faces(f)]
-    assert json.loads(out)["faces"] == json_value(expected)
+    expected = [
+        {
+            "S": d.term_indices,
+            "weight": d.supporting_weight,
+            "initial_form": to_string(initial_form(f, d.supporting_weight)),
+        }
+        for d in geometry.faces(f)
+    ]
+    assert_document(out, {"faces": expected})
 
 
 def test_trop_matches_library(capsys):
     code, out, _ = run_cli(capsys, ["trop", "x+y^2+z*w", "--vars", "x,y,z,w"])
     assert code == 0
     f = parse("x+y^2+z*w", ["x", "y", "z", "w"])
-    expected = [serialize.cone_json(c) for c in fan.tropical_variety(f)]
-    assert json.loads(out)["cones"] == json_value(expected)
+    expected = [
+        {"S": c.S, "dim": c.dim, "lineality": c.lineality.rows, "rays": [r.w for r in c.rays]}
+        for c in fan.tropical_variety(f)
+    ]
+    assert_document(out, {"cones": expected})
 
 
 def test_trop_classify(capsys):
@@ -79,6 +119,20 @@ def test_trop_classify(capsys):
     assert doc["S"] == [1] and doc["in_tropical_variety"] is False
 
 
+def test_classify_takes_a_negative_weight_after_equals(capsys):
+    f = parse("x+y^2+z*w", ["x", "y", "z", "w"])
+    argv = ["trop", "x+y^2+z*w", "--vars", "x,y,z,w", "--classify=-1,0,1,-1"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0 and err == ""
+    subset = fan.classify_weight(f, (-1, 0, 1, -1))
+    assert subset == (2, 3)
+    assert_document(out, {"weight": [-1, 0, 1, -1], "S": subset, "in_tropical_variety": True})
+    # without "=" argparse takes the leading "-" for an option: no value
+    code, out, err = run_cli(capsys, argv[:-1] + ["--classify", "-1,0,1,-1"])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["code"] == "validation_error"
+
+
 def test_matrix_matches_library(capsys):
     argv = ["matrix", "x+y^2+z*w", "--vars", "x,y,z,w", "--S", "2,3"]
     code, out, _ = run_cli(capsys, argv)
@@ -87,7 +141,8 @@ def test_matrix_matches_library(capsys):
     assert doc["rows"] == [[2, 1, 1, 1], [0, 0, 1, -1], [-1, 0, 0, 0]]
     f = parse("x+y^2+z*w", ["x", "y", "z", "w"])
     m = okounkov.valuation_matrix(f, (2, 3))
-    assert doc == json_value(serialize.document(serialize.matrix_json(m, f.variables)))
+    valuations = [{"variable": v, "value": col} for v, col in zip(f.variables, m.columns())]
+    assert_document(out, {"S": m.S, "rows": m.rows, "valuations": valuations})
 
 
 def test_nok_body_and_cone(capsys):
@@ -101,8 +156,7 @@ def test_nok_body_and_cone(capsys):
     assert doc["area"] is None
     f = parse("x+y^2+z*w", ["x", "y", "z", "w"])
     body = okounkov.nok_body(f, (2, 1, 1, 1), (2, 3))
-    for key, value in serialize.body_json(body).items():
-        assert doc[key] == json_value(value)
+    assert_document(out, {"S": [2, 3], "degree": [2, 1, 1, 1], **body_values(body)})
     # S is printed as the subset the matrix uses: sorted, repeats dropped
     argv[5] = "3,2,3"
     code, repeated, _ = run_cli(capsys, argv)
@@ -115,7 +169,10 @@ def test_nok_body_and_cone(capsys):
     ]
     code, out, _ = run_cli(capsys, argv)
     assert code == 0
-    assert len(json.loads(out)["generators"]) == 5
+    dp = parse("T1*T2+T3^2+T4*T5", ["T1", "T2", "T3", "T4", "T5"])
+    generators = okounkov.global_nok_cone(dp, (1, 1, 1, 0, 0))
+    assert len(generators) == 5
+    assert_document(out, {"extra_row": [1, 1, 1, 0, 0], "generators": generators})
 
 
 def test_graded_component(capsys):
@@ -161,7 +218,7 @@ def test_project_from_points_file(capsys, tmp_path):
     assert sorted(map(tuple, doc["boundary"])) == [(4, 4), (6, 0), (6, 6), (12, 12)]
     assert doc["area"] == 24
     body = okounkov.projected_body(points, [(1, 1, 1, 1, 1), (1, 1, 0, 1, 1)])
-    assert doc == json_value(serialize.document(serialize.body_json(body)))
+    assert_document(out, body_values(body))
 
 
 def test_project_rejects_ragged_points_file(capsys, tmp_path):

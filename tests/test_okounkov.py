@@ -26,7 +26,7 @@ from wellpoised import (
     valuation_matrix,
     variable_valuations,
 )
-from wellpoised import linalg
+from wellpoised import linalg, okounkov
 from oracles import (
     minimal_generators_by_closure,
     nonnegative_solutions_by_box,
@@ -455,6 +455,43 @@ def test_graded_component_matches_box_oracle():
     for kind in ("infinite", "empty"):
         assert seen[kind, True] >= 5 and seen[kind, False] >= 5
     assert seen["lattice-obstructed"] >= 20
+
+
+def test_rays_are_primitive_and_their_scale_leaves_components_alone(monkeypatch):
+    """Every ray of {a >= 0 : R a = t} has gcd 1, and graded_component gives
+    the same points or the same error when every ray is tripled: any
+    positive multiple of the rays bounds its search box."""
+
+    def outcome(constraints, n):
+        try:
+            return graded_component(constraints, n)
+        except PreconditionError as exc:
+            return str(exc)
+
+    rng = random.Random(47)
+    systems, outcomes, seen = [], [], Counter()
+    for _ in range(800):
+        m, n = rng.randint(1, 3), rng.randint(1, 7)
+        constraints = [
+            ([rng.randint(-2, 3) for _ in range(n)], rng.randint(-2, 3)) for _ in range(m)
+        ]
+        vertices, rays = okounkov._nonnegative_polyhedron(constraints, n)
+        assert all(math.gcd(*w) == 1 for w in rays)
+        systems.append((constraints, n))
+        outcomes.append(outcome(constraints, n))
+        seen[bool(vertices), bool(rays), type(outcomes[-1])] += 1
+
+    real = okounkov._nonnegative_polyhedron
+
+    def tripled(constraints, n):
+        vertices, rays = real(constraints, n)
+        return vertices, [tuple(3 * x for x in w) for w in rays]
+
+    monkeypatch.setattr(okounkov, "_nonnegative_polyhedron", tripled)
+    assert [outcome(*system) for system in systems] == outcomes
+    # bounded, infinite, and rays with no integer point all occur
+    assert seen[True, False, list] >= 80 and seen[True, True, str] >= 80
+    assert seen[True, True, list] >= 10
 
 
 def test_equality_polytope_vertices_del_pezzo():

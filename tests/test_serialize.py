@@ -6,6 +6,7 @@ compares the writer's text with it, on CLI documents, on large cone lists and
 on random trees.
 """
 
+import ast
 import json
 import re
 import shlex
@@ -15,12 +16,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wellpoised import cli, fan, serialize
-from wellpoised.polynomial import parse
+from wellpoised import cli, serialize
 
 from oracles import fraction_text
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def oracle(doc) -> str:
@@ -34,18 +35,24 @@ def readme_examples() -> list[list[str]]:
     return [shlex.split(line, comments=True)[1:] for line in lines if line.strip()]
 
 
-def chain_polynomial(k: int):
-    """x0*x1 + x2^2*x3 + ... with k terms."""
+def chain_argv(k: int) -> list[str]:
+    """`trop` of x0*x1 + x2^2*x3 + ... with k terms."""
     terms = [f"x{2 * i}^{i + 1}*x{2 * i + 1}" if i else "x0*x1" for i in range(k)]
-    return parse("+".join(terms), [f"x{j}" for j in range(2 * k)])
+    return ["trop", "+".join(terms), "--vars", ",".join(f"x{j}" for j in range(2 * k))]
+
+
+def documents_written(monkeypatch) -> list:
+    """Collects every document the CLI hands to `serialize.dumps`."""
+    docs = []
+    real = serialize.dumps
+    monkeypatch.setattr(serialize, "dumps", lambda doc: docs.append(doc) or real(doc))
+    return docs
 
 
 def test_every_readme_example_is_the_oracle_text(monkeypatch, capsys):
     examples = readme_examples()
     assert len(examples) == 11
-    docs = []
-    real = serialize.dumps
-    monkeypatch.setattr(serialize, "dumps", lambda doc: docs.append(doc) or real(doc))
+    docs = documents_written(monkeypatch)
     for argv in examples:
         assert cli.run(argv) == 0, argv
         out = capsys.readouterr().out
@@ -54,11 +61,25 @@ def test_every_readme_example_is_the_oracle_text(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("k", range(8, 13))
-def test_chain_cone_lists_are_the_oracle_text(k):
-    cones = fan.tropical_variety(chain_polynomial(k))
-    assert len(cones) == 2**k - k - 1
-    doc = serialize.document({"cones": [serialize.cone_json(c) for c in cones]})
-    assert serialize.dumps(doc) == oracle(doc)
+def test_chain_cone_lists_are_the_oracle_text(k, monkeypatch, capsys):
+    docs = documents_written(monkeypatch)
+    assert cli.run(chain_argv(k)) == 0
+    (doc,) = docs
+    assert len(doc["cones"]) == 2**k - k - 1
+    assert capsys.readouterr().out == oracle(doc)
+
+
+def test_serialize_imports_no_wellpoised_module():
+    """The documents are built in the CLI: the writer knows no library type."""
+    tree = ast.parse((ROOT / "src" / "wellpoised" / "serialize.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert "json" in imported
+    assert [name for name in imported if name.startswith((".", "wellpoised"))] == []
 
 
 def test_same_int_row_at_two_depths():
