@@ -82,7 +82,7 @@ def _load_points(path: str) -> list[tuple[Fraction, ...]]:
             data = json.load(handle)
     except OSError as exc:
         raise UsageError(f"cannot read points file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer too long for int()
         raise UsageError(f"points file is not valid JSON: {exc}") from exc
     if not isinstance(data, list) or not all(isinstance(p, list) for p in data):
         raise UsageError("points file must hold a JSON list of point lists")

@@ -26,13 +26,13 @@ Vector = tuple[Fraction, ...]
 Row = tuple[int, ...]
 
 
-def _integer_row(row: Sequence[Scalar]) -> tuple[list[int], int]:
-    """The row times the lcm d of its denominators, as ints, and d."""
+def _integer_row(row: Sequence[Scalar]) -> list[int]:
+    """The row times the lcm of its denominators, as ints."""
     if all(type(x) is int for x in row):
-        return list(row), 1
+        return list(row)
     fracs = [Fraction(x) for x in row]
     d = math.lcm(*(f.denominator for f in fracs))
-    return [f.numerator * (d // f.denominator) for f in fracs], d
+    return [f.numerator * (d // f.denominator) for f in fracs]
 
 
 def _pivot(m: list[list[int]], r: int, c: int) -> None:
@@ -58,7 +58,7 @@ def _pivot(m: list[list[int]], r: int, c: int) -> None:
 def echelon(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], list[int]]:
     """Integer rows, each a positive multiple of a nonzero row of the rref,
     and the pivot columns."""
-    m = [_integer_row(row)[0] for row in rows]
+    m = [_integer_row(row) for row in rows]
     pivots: list[int] = []
     r = 0
     for c in range(len(m[0]) if m else 0):
@@ -111,7 +111,7 @@ def double_description(
     vector the two share) give the positive combination of the two that
     vanishes on it, divided by its gcd.
     """
-    vs = [_integer_row(v)[0] for v in vectors]
+    vs = [_integer_row(v) for v in vectors]
     k, width = len(vs), len(vs[0]) if vs else 0
     reduced, pivots = echelon(
         [[*(v[r] for v in vs), *(int(r == c) for c in range(width))] for r in range(width)]
@@ -147,7 +147,7 @@ def double_description(
 def in_cone(equations: Sequence[Row], facets: Sequence[Row], v: Sequence[Scalar]) -> bool:
     """Is v in the cone with these equations and facets: every equation zero
     on it and every facet non-negative?"""
-    v = _integer_row(v)[0]
+    v = _integer_row(v)
     return all(sum(map(mul, e, v)) == 0 for e in equations) and all(
         sum(map(mul, f, v)) >= 0 for f in facets
     )

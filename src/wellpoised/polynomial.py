@@ -143,31 +143,17 @@ class SparsePolynomial:
         return to_string(self)
 
 
-_NUMBER_RE = re.compile(r"\d+(?:/\d+)?")
+_NUMBER_RE = re.compile(r"(\d+)(?:/(\d+))?")
 _FACTOR_RE = re.compile(r"([A-Za-z_]\w*)(?:\^(-?\d+))?")
+# a sign starts a monomial unless the last non-space character before it is '^', '*', '/' or a sign
+_MONOMIAL_START_RE = re.compile(r"(?<=[^\s^*/+-])\s*(?=[+-])")
 
 
-def _split_signed_chunks(text: str) -> list[tuple[int, str]]:
-    # '+'/'-' separate monomials except right after '^', '*', '/' or a sign
-    chunks: list[tuple[int, str]] = []
-    sign = 1
-    buf: list[str] = []
-    prev = ""
-    for char in text:
-        if char in "+-" and prev not in "^*/+-" and prev != "":
-            chunks.append((sign, "".join(buf)))
-            sign = 1 if char == "+" else -1
-            buf = []
-        elif char in "+-" and prev == "":
-            if buf:
-                raise ParseError(f"unexpected sign after {''.join(buf)!r}")
-            sign = sign if char == "+" else -sign
-        else:
-            buf.append(char)
-        if not char.isspace():
-            prev = char
-    chunks.append((sign, "".join(buf)))
-    return chunks
+def _int(digits: str, factor: str) -> int:
+    try:
+        return int(digits)
+    except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
+        raise ParseError(f"number too long in {factor!r}") from exc
 
 
 def parse(text: str, variables: Sequence[str]) -> SparsePolynomial:
@@ -184,21 +170,23 @@ def parse(text: str, variables: Sequence[str]) -> SparsePolynomial:
     if not stripped:
         raise ParseError("empty polynomial text")
     raw_terms = []
-    for sign, chunk in _split_signed_chunks(stripped):
-        chunk = chunk.strip()
+    for chunk in _MONOMIAL_START_RE.split(stripped):
+        num, den = (-1 if chunk[0] == "-" else 1), 1
+        if chunk[0] in "+-":
+            chunk = chunk[1:].strip()
         if not chunk:
             raise ParseError("empty monomial between signs")
-        coeff = Fraction(sign)
         exponent = [0] * len(names)
         for factor in chunk.split("*"):
             factor = factor.strip()
             if not factor:
                 raise ParseError(f"malformed token in {chunk!r}")
-            if _NUMBER_RE.fullmatch(factor):
-                try:
-                    coeff *= Fraction(factor)
-                except ZeroDivisionError as exc:
-                    raise ParseError(f"zero denominator in {factor!r}") from exc
+            m = _NUMBER_RE.fullmatch(factor)
+            if m is not None:
+                num *= _int(m.group(1), factor)
+                den *= 1 if m.group(2) is None else _int(m.group(2), factor)
+                if den == 0:
+                    raise ParseError(f"zero denominator in {factor!r}")
                 continue
             m = _FACTOR_RE.fullmatch(factor)
             if m is None:
@@ -206,11 +194,11 @@ def parse(text: str, variables: Sequence[str]) -> SparsePolynomial:
             name, power = m.group(1), m.group(2)
             if name not in index:
                 raise ParseError(f"unknown variable {name!r}")
-            e = 1 if power is None else int(power)
+            e = 1 if power is None else _int(power, factor)
             if e < 0:
                 raise ParseError(f"negative exponent in {factor!r}")
             exponent[index[name]] += e
-        raw_terms.append((coeff, tuple(exponent)))
+        raw_terms.append((Fraction(num, den), tuple(exponent)))
     try:
         return SparsePolynomial.from_terms(raw_terms, variables=names)
     except ValueError as exc:

@@ -8,7 +8,8 @@ through every subset of zero coordinates, non-negative integer solutions
 through a scan of an explicitly capped box, minimal semigroup generators
 through the closure of {0} under adding generators, and the JSON text of a
 document through the standard ``json`` module with the rational rule of
-``fraction_text``.
+``fraction_text``, and polynomial text through a character scanner that
+splits signed chunks and reads each number with ``Fraction(str)``.
 Only the ``rref`` helper (and ``row_space_equal`` on it) reads the
 library's ``echelon``; sympy checks it.
 """
@@ -17,9 +18,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from fractions import Fraction
 
-from wellpoised import SparsePolynomial, exponent_gcd, linalg
+from wellpoised import ParseError, SparsePolynomial, exponent_gcd, linalg
 
 
 def fraction_text(value):
@@ -39,6 +41,76 @@ def fraction_text(value):
 def json_value(doc):
     """A document as ``json.loads`` reads it back: lists for tuples, rationals as text."""
     return json.loads(json.dumps(doc, default=fraction_text))
+
+
+_NUMBER_RE = re.compile(r"\d+(?:/\d+)?")
+_FACTOR_RE = re.compile(r"([A-Za-z_]\w*)(?:\^(-?\d+))?")
+
+
+def _split_signed_chunks(text):
+    # '+'/'-' separate monomials except right after '^', '*', '/' or a sign
+    chunks = []
+    sign = 1
+    buf = []
+    prev = ""
+    for char in text:
+        if char in "+-" and prev not in "^*/+-" and prev != "":
+            chunks.append((sign, "".join(buf)))
+            sign = 1 if char == "+" else -1
+            buf = []
+        elif char in "+-" and prev == "":
+            if buf:
+                raise ParseError(f"unexpected sign after {''.join(buf)!r}")
+            sign = sign if char == "+" else -sign
+        else:
+            buf.append(char)
+        if not char.isspace():
+            prev = char
+    chunks.append((sign, "".join(buf)))
+    return chunks
+
+
+def parse_by_chunks(text, variables):
+    """``polynomial.parse`` by a character scan: the same terms or ParseError message."""
+    names = tuple(variables)
+    if not names or len(set(names)) != len(names):
+        raise ParseError("variable list must be nonempty and duplicate-free")
+    index = {name: j for j, name in enumerate(names)}
+    stripped = text.strip()
+    if not stripped:
+        raise ParseError("empty polynomial text")
+    raw_terms = []
+    for sign, chunk in _split_signed_chunks(stripped):
+        chunk = chunk.strip()
+        if not chunk:
+            raise ParseError("empty monomial between signs")
+        coeff = Fraction(sign)
+        exponent = [0] * len(names)
+        for factor in chunk.split("*"):
+            factor = factor.strip()
+            if not factor:
+                raise ParseError(f"malformed token in {chunk!r}")
+            if _NUMBER_RE.fullmatch(factor):
+                try:
+                    coeff *= Fraction(factor)
+                except ZeroDivisionError as exc:
+                    raise ParseError(f"zero denominator in {factor!r}") from exc
+                continue
+            m = _FACTOR_RE.fullmatch(factor)
+            if m is None:
+                raise ParseError(f"malformed token {factor!r}")
+            name, power = m.group(1), m.group(2)
+            if name not in index:
+                raise ParseError(f"unknown variable {name!r}")
+            e = 1 if power is None else int(power)
+            if e < 0:
+                raise ParseError(f"negative exponent in {factor!r}")
+            exponent[index[name]] += e
+        raw_terms.append((coeff, tuple(exponent)))
+    try:
+        return SparsePolynomial.from_terms(raw_terms, variables=names)
+    except ValueError as exc:
+        raise ParseError("polynomial is empty after merging") from exc
 
 
 def gauss_solve_unique(rows, rhs):

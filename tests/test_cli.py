@@ -324,20 +324,30 @@ def test_table_format_text(capsys, command):
 
 
 def test_parse_error_exit_code(capsys):
+    # int() refuses more than 4300 digits: over-long numbers are parse errors too
     for argv in (
         ["check", "x^2+q", "--vars", "x,y"],
         ["check", "3/0*x", "--vars", "x"],
+        ["check", "x^" + "9" * 5000, "--vars", "x"],
+        ["check", "1" * 5000 + "*x", "--vars", "x"],
     ):
         code, out, err = run_cli(capsys, argv)
         assert code == 2 and out == ""
+        assert err.count("\n") == 1
         assert json.loads(err)["error"]["code"] == "parse_error"
 
 
 def test_validation_error_exit_code(capsys, tmp_path):
     unwritable = str(tmp_path / "missing" / "out.json")
+    long_points = tmp_path / "long.json"
+    long_points.write_text(f"[[{'1' * 5000}, 0], [0, 1]]", encoding="utf-8")
+    latin1_points = tmp_path / "latin1.json"
+    latin1_points.write_bytes(b"[[1, 0], [0, 1]] \xff")
     for argv in (
         ["matrix", "x+y", "--vars", "x,y"],
         ["check", "x", "--vars", "x", "--output", unwritable],
+        ["project", "--points", str(long_points), "--rows", "1,0;0,1"],
+        ["project", "--points", str(latin1_points), "--rows", "1,0;0,1"],
     ):
         code, out, err = run_cli(capsys, argv)
         assert code == 2 and out == ""

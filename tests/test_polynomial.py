@@ -20,7 +20,7 @@ from wellpoised import (
     to_string,
 )
 from wellpoised.fan import lineality_basis
-from oracles import random_disjoint_polynomial, random_weight
+from oracles import parse_by_chunks, random_disjoint_polynomial, random_weight
 
 XYZW = ["x", "y", "z", "w"]
 
@@ -57,13 +57,45 @@ def test_parse_rational_coefficients_and_signs():
     }
 
 
+def test_parse_multiplies_numbers_and_adds_powers():
+    f = parse("2*x*3/4*x^2 - y*2/3*y", ["x", "y"])
+    assert [(t.coefficient, t.exponent) for t in f.terms] == [
+        (Fraction(-2, 3), (0, 2)),
+        (Fraction(3, 2), (3, 0)),
+    ]
+    assert all(type(t.coefficient) is Fraction for t in f.terms)
+
+
 @pytest.mark.parametrize(
     "text",
-    ["x + q", "x^-2", "x - x", "", "x + ", "2x", "x^2^3", "x*"],
+    ["x + q", "x^-2", "x - x", "", "x + ", "2x", "x^2^3", "x*", "2*-x", "x+-y", "--x"],
 )
 def test_parse_rejects(text):
     with pytest.raises(ParseError):
         parse(text, ["x", "y"])
+
+
+PARSER_ALPHABET = list("xyz 0123/^*+-") + ["\t", "\x1c", "\u3000", "\u0663"]
+
+
+def _parse_outcome(parser, text):
+    """The terms, with each coefficient's type, or the ParseError message."""
+    try:
+        f = parser(text, ["x", "y", "z"])
+    except ParseError as exc:
+        return str(exc)
+    return [(type(t.coefficient), t.coefficient, t.exponent) for t in f.terms]
+
+
+def test_parse_matches_the_chunk_scanner():
+    rng = random.Random(7)
+    parsed = 0
+    for _ in range(20_000):
+        text = "".join(rng.choice(PARSER_ALPHABET) for _ in range(rng.randint(0, 12)))
+        expected = _parse_outcome(parse_by_chunks, text)
+        assert _parse_outcome(parse, text) == expected, repr(text)
+        parsed += not isinstance(expected, str)
+    assert parsed > 1000
 
 
 def test_printer_round_trip_examples():
@@ -234,6 +266,37 @@ def test_well_poised_invariance():
 def test_canonical_term_order():
     f = parse("z*w + x + y^2", XYZW)
     assert [t.exponent for t in f.terms] == [(1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 1)]
+
+
+def test_term_rejects_zero_coefficient_and_negative_exponent():
+    with pytest.raises(ValueError, match="nonzero"):
+        Term(0, (1,))
+    with pytest.raises(ValueError, match="non-negative"):
+        Term(1, (-1,))
+
+
+@pytest.mark.parametrize(
+    "terms, variables, message",
+    [
+        (((0, 1), (1, 0)), ("x", "y"), "canonically ordered"),
+        (((1, 0), (1, 0)), ("x", "y"), "canonically ordered"),
+        (((1, 0), (0, 1)), ("x", "x"), "distinct variable names"),
+        (((1, 0), (1,)), ("x", "y"), "exponent length"),
+    ],
+    ids=["unsorted", "duplicate", "repeated-name", "short-exponent"],
+)
+def test_sparse_polynomial_checks_its_terms(terms, variables, message):
+    with pytest.raises(ValueError, match=message):
+        SparsePolynomial(n=2, terms=tuple(Term(1, e) for e in terms), variables=variables)
+
+
+def test_from_terms_reads_text_coefficients_and_list_exponents():
+    f = SparsePolynomial.from_terms([("3/2", [0, 1]), (1, [1, 0])], variables=("x", "y"))
+    assert [(t.coefficient, t.exponent) for t in f.terms] == [
+        (1, (1, 0)),
+        (Fraction(3, 2), (0, 1)),
+    ]
+    assert all(type(t.coefficient) is Fraction and type(t.exponent) is tuple for t in f.terms)
 
 
 def test_from_terms_rejects_empty():
