@@ -30,25 +30,18 @@ from .polynomial import (
 IntVector = tuple[int, ...]
 
 
-def _require_fan_input(f: SparsePolynomial) -> None:
-    if any(not any(t.exponent) for t in f.terms):
-        raise PreconditionError("constant term present; cones are undefined")
-    if not is_disjointly_supported(f):
-        raise PreconditionError("overlapping supports; cones are undefined")
-
-
-def _term_degrees(f: SparsePolynomial) -> list[int]:
-    return [total_degree(t.exponent) for t in f.terms]
-
-
 def homogeneity_vector(f: SparsePolynomial) -> IntVector:
     """The integer weight assigning lcm(degrees) to every term of f.
 
     Entry lcm/deg(term i) on the support of term i; variables appearing in no
-    term get entry 0.
+    term get entry 0.  Every cone of the fan starts here, so this is where its
+    input contract is checked.
     """
-    _require_fan_input(f)
-    degrees = _term_degrees(f)
+    if any(not any(t.exponent) for t in f.terms):
+        raise PreconditionError("constant term present; cones are undefined")
+    if not is_disjointly_supported(f):
+        raise PreconditionError("overlapping supports; cones are undefined")
+    degrees = [total_degree(t.exponent) for t in f.terms]
     ell = math.lcm(*degrees)
     v = [0] * f.n
     for term, deg in zip(f.terms, degrees):
@@ -82,7 +75,7 @@ class LinealityBasis:
 
 
 def lineality_basis(f: SparsePolynomial) -> LinealityBasis:
-    _require_fan_input(f)
+    v_f = homogeneity_vector(f)  # first: it rejects the constant term the loop cannot take
     kernel: list[IntVector] = []
     used: set[int] = set()
     for term in f.terms:
@@ -99,7 +92,7 @@ def lineality_basis(f: SparsePolynomial) -> LinealityBasis:
             unit = [0] * f.n
             unit[c] = 1
             kernel.append(tuple(unit))
-    return LinealityBasis(homogeneity_vector(f), tuple(kernel))
+    return LinealityBasis(v_f, tuple(kernel))
 
 
 @dataclass(frozen=True)
@@ -140,11 +133,19 @@ class TropicalCone:
         return self.lineality.dim + len(self.rays)
 
 
-def cone(f: SparsePolynomial, subset: Iterable[int]) -> TropicalCone:
-    s = _check_subset(f, subset)
+def _cones(f: SparsePolynomial, subsets: Iterable[tuple[int, ...]]) -> list[TropicalCone]:
+    """C_S for each sorted subset S, from one lineality basis and one ray per term.
+
+    Every cone holds the same basis object and the same ray objects, so the
+    JSON writer, which memoises tuples by identity, renders each row once.
+    """
     basis = lineality_basis(f)
-    rays = tuple(ray_generator(f, i) for i in range(1, f.k + 1) if i not in s)
-    return TropicalCone(s, basis, rays)
+    rays = [ray_generator(f, i) for i in range(1, f.k + 1)]
+    return [TropicalCone(s, basis, tuple(ray for ray in rays if ray.i not in s)) for s in subsets]
+
+
+def cone(f: SparsePolynomial, subset: Iterable[int]) -> TropicalCone:
+    return _cones(f, [_check_subset(f, subset)])[0]
 
 
 def classify_weight(f: SparsePolynomial, weight: Sequence) -> tuple[int, ...]:
@@ -163,13 +164,8 @@ def tropical_variety(f: SparsePolynomial) -> list[TropicalCone]:
 
     The maximal cones are exactly the two-element subsets: K*(K-1)/2 of them.
     """
-    basis = lineality_basis(f)
-    rays = [ray_generator(f, i) for i in range(1, f.k + 1)]
-    return [
-        TropicalCone(s, basis, tuple(ray for ray in rays if ray.i not in s))
-        for size in range(2, f.k + 1)
-        for s in itertools.combinations(range(1, f.k + 1), size)
-    ]
+    terms, sizes = range(1, f.k + 1), range(2, f.k + 1)
+    return _cones(f, (s for size in sizes for s in itertools.combinations(terms, size)))
 
 
 @dataclass(frozen=True)
@@ -205,27 +201,17 @@ def decompose_weight(f: SparsePolynomial, weight: Sequence) -> WeightDecompositi
     outside the argmax set leaves a vector weighting all terms equally, which
     is then expressed in the lineality basis by an exact linear solve.
     """
-    _require_fan_input(f)
     w = weight_vector(weight, f.n)
-    degrees = _term_degrees(f)
     products, top = weighted_degrees(f, w)
-    s = tuple(i + 1 for i, p in enumerate(products) if p == top)
-    rays = []
+    c = cone(f, (i + 1 for i, p in enumerate(products) if p == top))
     ray_coeffs = []
     residual = list(w)
-    for i in range(1, f.k + 1):
-        if i in s:
-            continue
-        lam = Fraction(top - products[i - 1], degrees[i - 1])
-        ray = ray_generator(f, i)
-        rays.append(ray)
+    for ray in c.rays:
+        lam = Fraction(top - products[ray.i - 1], total_degree(f.term(ray.i).exponent))
         ray_coeffs.append(lam)
         for j in range(f.n):
             residual[j] -= lam * ray.w[j]
-    basis = lineality_basis(f)
-    columns = basis.rows
-    rows = [[col[j] for col in columns] for j in range(f.n)]
-    coeffs = linalg.solve_unique(rows, residual)
+    coeffs = linalg.solve_unique(list(zip(*c.lineality.rows)), residual)
     if coeffs is None:
         raise PreconditionError("weight does not decompose; input violates contract")
-    return WeightDecomposition(s, basis, coeffs, tuple(rays), tuple(ray_coeffs))
+    return WeightDecomposition(c.S, c.lineality, coeffs, c.rays, tuple(ray_coeffs))

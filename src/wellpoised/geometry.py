@@ -20,9 +20,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import and_, mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from . import linalg
+from .fan import _cones
 from .polynomial import (
     Exponent,
     PreconditionError,
@@ -54,29 +55,23 @@ class LatticePolytope:
 
     ``equations`` and ``facets`` hold integer rows (a, b) with a . x + b = 0
     on the affine hull and a . x + b >= 0 on the polytope, one per facet.
-    Equality and hashing read only ``n`` and ``vertices``.
+    Equality and hashing read only ``n`` and ``vertices``.  ``from_points``
+    is the one constructor: it finds both representations in one pass.
     """
 
     n: int
     vertices: tuple[Point, ...]
-    equations: tuple[Row, ...] = field(default=None, compare=False, repr=False)
-    facets: tuple[Row, ...] = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.facets is None:
-            equations, facets, _ = linalg.double_description([(*v, 1) for v in self.vertices])
-            object.__setattr__(self, "equations", equations)
-            object.__setattr__(self, "facets", facets)
+    equations: tuple[Row, ...] = field(compare=False, repr=False)
+    facets: tuple[Row, ...] = field(compare=False, repr=False)
 
     @classmethod
-    def from_points(cls, points: Iterable[Sequence], n: Optional[int] = None) -> "LatticePolytope":
+    def from_points(cls, points: Iterable[Sequence]) -> "LatticePolytope":
         """The polytope conv(points): a point is a vertex exactly when the
         facets through it meet in no other point."""
         pts = sorted({canonical_point(p) for p in points}, key=graded_lex_key)
         if not pts:
             raise PreconditionError("a polytope needs at least one point")
-        if n is None:
-            n = len(pts[0])
+        n = len(pts[0])
         if any(len(p) != n for p in pts):
             raise PreconditionError("points of mixed dimensions")
         equations, facets, masks = linalg.double_description([(*p, 1) for p in pts])
@@ -106,7 +101,7 @@ def in_convex_hull(point: Sequence, generators: Sequence[Sequence]) -> bool:
 
 def newton_polytope(f: SparsePolynomial) -> LatticePolytope:
     """Convex hull of the exponent vectors, reduced to its vertex set."""
-    return LatticePolytope.from_points(f.exponents(), n=f.n)
+    return LatticePolytope.from_points(f.exponents())
 
 
 def is_simplex(p: LatticePolytope) -> bool:
@@ -139,35 +134,24 @@ class FaceDescriptor:
     supporting_weight: tuple[int, ...]
 
 
-def _require_empty_simplex_input(f: SparsePolynomial, what: str) -> None:
-    if not is_disjointly_supported(f):
-        raise PreconditionError(f"{what} requires disjointly supported terms")
-    witness = is_well_poised(f).witness
-    if witness is not None:
-        i, j = witness.terms
-        raise PreconditionError(
-            f"{what} requires pairwise exponent gcd 1; terms {i},{j} violate it"
-        )
-
-
 def faces(f: SparsePolynomial) -> list[FaceDescriptor]:
     """One descriptor per nonempty term subset S, 2^K - 1 in total.
 
-    The supporting weight is the sum of the rays of the complement: entry -1
-    on each variable supporting a term outside S, and 0 elsewhere.  Only the
-    empty-simplex case (disjoint supports, pairwise gcd 1) is supported.
+    The supporting weight is the sum of the rays of the fan's cone C_S: entry
+    -1 on each variable supporting a term outside S, and 0 elsewhere.  Only
+    the empty-simplex case (disjoint supports, pairwise gcd 1) is supported,
+    and, as in the fan, no constant term: its ray would be zero.
     """
-    _require_empty_simplex_input(f, "faces")
-    out = []
-    for size in range(1, f.k + 1):
-        for subset in itertools.combinations(range(1, f.k + 1), size):
-            weight = [0] * f.n
-            for i in range(1, f.k + 1):
-                if i not in subset:
-                    for j in f.term(i).support:
-                        weight[j] = -1
-            out.append(FaceDescriptor(subset, tuple(weight)))
-    return out
+    if not is_disjointly_supported(f):
+        raise PreconditionError("faces requires disjointly supported terms")
+    witness = is_well_poised(f).witness
+    if witness is not None:
+        i, j = witness.terms
+        raise PreconditionError(f"faces requires pairwise exponent gcd 1; terms {i},{j} violate it")
+    terms = range(1, f.k + 1)
+    cones = _cones(f, (s for size in terms for s in itertools.combinations(terms, size)))
+    zero = (0,) * f.n
+    return [FaceDescriptor(c.S, tuple(map(sum, zip(zero, *(r.w for r in c.rays))))) for c in cones]
 
 
 @dataclass(frozen=True)

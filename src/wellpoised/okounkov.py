@@ -41,7 +41,10 @@ Constraint = tuple[Sequence, int]
 @dataclass(frozen=True)
 class ValuationMatrix:
     """(n-1) x n integer matrix of full rational rank, rows in fixed order:
-    homogeneity vector, kernel vectors, then rays of the complement of S."""
+    homogeneity vector, kernel vectors, then rays of the complement of S.
+    Modulo the kernel vectors, v_f reads lcm(degrees) on every term and ray i
+    reads -deg_i on term i alone; v_f is nonzero on both terms of S, where
+    every ray is zero, so the rank is always n - 1."""
 
     S: tuple[int, int]
     rows: tuple[tuple[int, ...], ...]
@@ -59,10 +62,7 @@ def valuation_matrix(f: SparsePolynomial, subset: Iterable[int]) -> ValuationMat
     if len(s) != 2:
         raise PreconditionError("the subset S must have exactly two elements")
     c = cone(f, s)
-    rows = (*c.lineality.rows, *(ray.w for ray in c.rays))
-    if len(rows) != f.n - 1 or linalg.rank(rows) != f.n - 1:
-        raise PreconditionError("valuation matrix is rank deficient")
-    return ValuationMatrix(c.S, rows)
+    return ValuationMatrix(c.S, (*c.lineality.rows, *(ray.w for ray in c.rays)))
 
 
 def variable_valuations(m: ValuationMatrix) -> list[tuple[int, tuple[int, ...]]]:

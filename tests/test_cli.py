@@ -358,6 +358,8 @@ def test_validation_error_exit_code(capsys, tmp_path):
 def test_precondition_exit_code(capsys):
     for argv in (
         ["trop", "x+y^2+1", "--vars", "x,y,z"],
+        # the constant term's ray is zero: no weight singles out x^2*y^3
+        ["faces", "1+x^2*y^3", "--vars", "x,y"],
         # a square is not a simplex: no witness, and no census printed either
         ["polytope", "1+x+y+x*y", "--vars", "x,y", "--lattice", "--minkowski"],
         # x + y = -1 has no non-negative solution: the polytope is empty

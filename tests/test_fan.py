@@ -87,7 +87,12 @@ def test_lineality_rows_are_one_tuple_shared_by_every_cone():
     assert LinealityBasis(basis.v_f, ()) != basis
     cones = tropical_variety(parse("x0*x1 + x2^2*x3 + x4^3*x5 + x6", [f"x{j}" for j in range(7)]))
     assert len(cones) == 11
+    assert all(c.lineality is cones[0].lineality for c in cones)
     assert all(c.lineality.rows is cones[0].lineality.rows for c in cones)
+    # and one ray object per term, whichever cone holds it
+    rays = {}
+    assert all(rays.setdefault(r.i, r) is r for c in cones for r in c.rays)
+    assert sorted(rays) == [1, 2, 3, 4]
 
 
 def test_lineality_basis_unused_variable():

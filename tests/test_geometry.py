@@ -159,10 +159,29 @@ def test_faces_of_binomial():
 
 
 def test_faces_rejects_out_of_scope():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="disjointly supported"):
         faces(parse("x*y + y*z", ["x", "y", "z"]))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="pairwise exponent gcd 1; terms 1,2"):
         faces(parse("x^2 + y^2", ["x", "y"]))
+    # the supports and the gcd test are checked before the constant term
+    with pytest.raises(PreconditionError, match="disjointly supported"):
+        faces(parse("1 + x*y + y*z", ["x", "y", "z"]))
+    with pytest.raises(PreconditionError, match="pairwise exponent gcd 1"):
+        faces(parse("1 + x^2 + y^2", ["x", "y"]))
+    # the constant term's ray is zero, so no weight singles out the other term:
+    # weight 0 for S = (2,) would give the whole polynomial as initial form
+    with pytest.raises(PreconditionError, match="constant term present"):
+        faces(parse("1 + x^2*y^3", ["x", "y"]))
+
+
+def test_faces_weights_support_their_faces():
+    rng = random.Random(89)
+    for _ in range(30):
+        f = random_disjoint_polynomial(rng, force_gcd_one=True)
+        descriptors = faces(f)
+        assert len(descriptors) == 2**f.k - 1
+        for d in descriptors:
+            assert initial_form(f, d.supporting_weight) == f.restricted_to(d.term_indices)
 
 
 def test_minkowski_witness_e8_trivial():

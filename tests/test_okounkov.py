@@ -70,15 +70,18 @@ def test_valuation_matrix_validation():
 
 
 def test_valuation_matrix_shape_and_rank():
-    from wellpoised import linalg
-
+    # (n - K + 1) lineality rows and K - 2 rays, always of full rank n - 1:
+    # valuation_matrix has no rank check of its own, so this test is the check
     rng = random.Random(71)
-    for _ in range(20):
-        f = random_disjoint_polynomial(rng)
+    for _ in range(40):
+        f = random_disjoint_polynomial(rng, max_n=6, max_k=5)
+        unused = rng.randint(0, 2)  # variables in no term give unit lineality rows
+        f = SparsePolynomial.from_terms(
+            (t.coefficient, (*t.exponent, *[0] * unused)) for t in f.terms
+        )
         for subset in itertools.combinations(range(1, f.k + 1), 2):
             m = valuation_matrix(f, subset)
-            assert len(m.rows) == f.n - 1
-            assert linalg.rank(m.rows) == f.n - 1
+            assert len(m.rows) == linalg.rank(m.rows) == f.n - 1
 
 
 def test_adjacent_matrices_differ_in_one_row():
