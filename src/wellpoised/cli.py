@@ -7,6 +7,10 @@ first and prints the document with ``serialize.dumps`` (or as a human table
 with --format table).  Exit status: 0 on success, 2 for input or
 validation errors, 3 for violated operation preconditions.  Errors are
 reported as one-line JSON documents on standard error.
+
+The module itself loads only ``polynomial`` and ``serialize``; each command
+imports the layer it calls when it runs, so ``check`` starts without the
+geometry, fan, okounkov and linalg layers.
 """
 
 from __future__ import annotations
@@ -16,9 +20,9 @@ import functools
 import json
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import fan, geometry, okounkov, serialize
+from . import serialize
 from .polynomial import (
     ParseError,
     PreconditionError,
@@ -29,6 +33,9 @@ from .polynomial import (
     parse,
     to_string,
 )
+
+if TYPE_CHECKING:
+    from . import okounkov
 
 SCHEMA_VERSION = 1
 EXIT_OK = 0
@@ -123,6 +130,8 @@ def _cmd_check(args) -> dict:
 
 
 def _cmd_polytope(args) -> dict:
+    from . import geometry
+
     f = _polynomial(args)
     p = geometry.newton_polytope(f)
     doc = {"n": p.n, "vertices": p.vertices, "simplex": geometry.is_simplex(p)}
@@ -141,6 +150,8 @@ def _cmd_polytope(args) -> dict:
 
 
 def _cmd_faces(args) -> dict:
+    from . import geometry
+
     f = _polynomial(args)
     return {"faces": [
         {
@@ -153,6 +164,8 @@ def _cmd_faces(args) -> dict:
 
 
 def _cmd_trop(args) -> dict:
+    from . import fan
+
     f = _polynomial(args)
     if args.classify is not None:
         weight = _parse_vector(args.classify)
@@ -174,6 +187,8 @@ def _cmd_trop(args) -> dict:
 
 
 def _cmd_matrix(args) -> dict:
+    from . import okounkov
+
     f = _polynomial(args)
     if args.S is None:
         raise UsageError("--S is required")
@@ -197,6 +212,8 @@ def _body(body: okounkov.OkounkovBody) -> dict:
 
 
 def _cmd_nok(args) -> dict:
+    from . import okounkov
+
     f = _polynomial(args)
     if args.cone_row is not None:
         row = _parse_vector(args.cone_row)
@@ -210,6 +227,8 @@ def _cmd_nok(args) -> dict:
 
 
 def _cmd_graded(args) -> dict:
+    from . import okounkov
+
     constraints, n = _constraints(args)
     component = okounkov.graded_component(constraints, n)
     return {
@@ -220,6 +239,8 @@ def _cmd_graded(args) -> dict:
 
 
 def _cmd_project(args) -> dict:
+    from . import okounkov
+
     if args.rows is None:
         raise UsageError("--rows is required")
     rows = _parse_rows(args.rows)
