@@ -53,8 +53,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fraction(token: str) -> Fraction:
-    try:
-        return Fraction(token.strip())
+    text = token.strip()
+    digits = text[1:] if text[:1] in "+-" else text
+    try:  # int() raises ValueError past sys.get_int_max_str_digits()
+        if digits.isascii() and digits.isdigit():
+            return Fraction(int(text))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"not a rational number: {token!r}") from exc
 

@@ -3,14 +3,15 @@
 Inputs are plain sequences of ``fractions.Fraction`` (or ints).  The systems
 in this package are tiny, so Gauss-Jordan elimination, one polyhedral kernel
 (double description: the equations and facets of the cone some vectors
-generate) and one integer-point kernel (a pruned depth-first search, the
-only integer search in the package) run exactly instead of through
-floating-point solvers: every answer is exact and every certificate is
-checkable.  All of them share one pivot step that runs fraction-free on
-integer rows (each row scaled by the lcm of its denominators,
-cross-multiplied at a pivot and divided by the gcd of its entries).
-``echelon`` returns those integer rows; rank, unique solutions and the
-double description read them directly, and answers come back as
+generate) and one integer-point kernel (a pruned depth-first search whose
+last free column steps through the one residue class that leaves every
+pivot whole, the only integer search in the package) run exactly instead
+of through floating-point solvers: every answer is exact and every
+certificate is checkable.  All of them share one pivot step that runs
+fraction-free on integer rows (each row scaled by the lcm of its
+denominators, cross-multiplied at a pivot and divided by the gcd of its
+entries).  ``echelon`` returns those integer rows; rank, unique solutions
+and the double description read them directly, and answers come back as
 ``Fraction``.
 """
 
@@ -161,8 +162,14 @@ def integer_points(rows, rhs, bounds) -> Iterator[tuple[int, ...]]:
     rref of [rows | rhs] one at a time.  It narrows each free coordinate's
     range to the values that still let every pivot coordinate land inside
     its bounds, given the terms already fixed and the least and greatest
-    sums the later terms can take.  Each pivot coordinate is then solved
-    from its integer-scaled row by divmod; a remainder drops the candidate.
+    sums the later terms can take.  Once the other free columns are fixed,
+    each integer-scaled pivot row den * x[c] + a * v = r asks a * v = r
+    (mod den) of the last free coordinate v.  These congruences fold into
+    one class v = start (mod step) (the generalised Chinese remainder
+    theorem), so the last column walks that class upward through its range
+    and reads each pivot coordinate as an exact quotient; an inconsistent
+    class leaves nothing.  With no free column, each pivot coordinate is
+    solved by divmod and a remainder drops the point.
     """
     n = len(bounds)
     reduced, pivots = echelon([[*row, b] for row, b in zip(rows, rhs)])
@@ -180,10 +187,11 @@ def integer_points(rows, rhs, bounds) -> Iterator[tuple[int, ...]]:
         reach.insert(0, [(least + min(a * lo, a * hi), most + max(a * lo, a * hi))
                          for a, (least, most) in zip(column, reach[0])])
     x = [0] * n
+    last = len(free) - 1
 
     def search(t: int, rest: list[int]) -> Iterator[tuple[int, ...]]:
         # every rest[i] lies within reach[t][i]
-        if t == len(free):
+        if t > last:  # no free column
             for c, d, r in zip(pivots, dens, rest):
                 x[c], remainder = divmod(r, d)
                 if remainder:
@@ -198,9 +206,34 @@ def integer_points(rows, rhs, bounds) -> Iterator[tuple[int, ...]]:
                 lo, hi = max(lo, -((most - r) // a)), min(hi, (r - least) // a)
             elif a < 0:
                 lo, hi = max(lo, -((least - r) // a)), min(hi, (r - most) // a)
-        for v in range(lo, hi + 1):
+        if lo > hi:
+            return
+        if t < last:
+            for v in range(lo, hi + 1):
+                x[free[t]] = v
+                yield from search(t + 1, [r - a * v for a, r in zip(column, rest)])
+            return
+        # fold each row's a * v = r (mod d) into v = start (mod step), start
+        # the least such value >= lo
+        start, step = lo, 1
+        for a, d, r in zip(column, dens, rest):
+            if d == 1:
+                continue
+            g = math.gcd(a * step, d)
+            gap = r - a * start
+            if gap % g:
+                return
+            modulus = d // g
+            start += step * (gap // g * pow(a * step // g, -1, modulus) % modulus)
+            if start > hi:
+                return
+            step *= modulus
+        pivot_rows = list(zip(pivots, dens, column, rest))
+        for v in range(start, hi + 1, step):
             x[free[t]] = v
-            yield from search(t + 1, [r - a * v for a, r in zip(column, rest)])
+            for c, d, a, r in pivot_rows:
+                x[c] = (r - a * v) // d
+            yield tuple(x)
 
     b = [s[-1] for s in reduced]
     # search's invariant at the root: the only check of rows with no free

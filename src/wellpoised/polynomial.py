@@ -15,6 +15,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul, neg
 from typing import Iterable, Optional, Sequence, Union
 
 Exponent = tuple[int, ...]
@@ -35,7 +36,7 @@ def graded_lex_key(vector: Sequence) -> tuple:
     This ordering numbers the terms of every worked example the way their
     standard presentations do (e.g. x before y^2 before z*w).
     """
-    return (sum(vector), tuple(-e for e in vector))
+    return (sum(vector), tuple(map(neg, vector)))
 
 
 def support(exponent: Sequence[int]) -> tuple[int, ...]:
@@ -60,8 +61,10 @@ class Term:
     exponent: Exponent
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficient", Fraction(self.coefficient))
-        object.__setattr__(self, "exponent", tuple(int(e) for e in self.exponent))
+        if type(self.coefficient) is not Fraction:
+            object.__setattr__(self, "coefficient", Fraction(self.coefficient))
+        if type(self.exponent) is not tuple or any(type(e) is not int for e in self.exponent):
+            object.__setattr__(self, "exponent", tuple(map(int, self.exponent)))
         if self.coefficient == 0:
             raise ValueError("term coefficient must be nonzero")
         if any(e < 0 for e in self.exponent):
@@ -101,11 +104,17 @@ class SparsePolynomial:
         variables: Optional[Sequence[str]] = None,
         n: Optional[int] = None,
     ) -> "SparsePolynomial":
-        """Merge (coefficient, exponent) pairs, drop exact zeros, sort canonically."""
-        merged: dict[Exponent, Fraction] = {}
+        """Merge (coefficient, exponent) pairs, drop exact zeros, sort canonically.
+
+        int and Fraction coefficients add as they are, others pass through
+        Fraction first; each surviving term then holds one Fraction.
+        """
+        merged: dict[Exponent, Union[int, Fraction]] = {}
         for coeff, exp in terms:
-            e = tuple(int(x) for x in exp)
-            merged[e] = merged.get(e, Fraction(0)) + Fraction(coeff)
+            e = tuple(map(int, exp))
+            if type(coeff) is not int and type(coeff) is not Fraction:
+                coeff = Fraction(coeff)
+            merged[e] = merged.get(e, 0) + coeff
         merged = {e: c for e, c in merged.items() if c != 0}
         if not merged:
             raise ValueError("no terms remain after merging")
@@ -198,7 +207,7 @@ def parse(text: str, variables: Sequence[str]) -> SparsePolynomial:
             if e < 0:
                 raise ParseError(f"negative exponent in {factor!r}")
             exponent[index[name]] += e
-        raw_terms.append((Fraction(num, den), tuple(exponent)))
+        raw_terms.append((num if den == 1 else Fraction(num, den), tuple(exponent)))
     try:
         return SparsePolynomial.from_terms(raw_terms, variables=names)
     except ValueError as exc:
@@ -234,10 +243,16 @@ def weight_vector(values: Sequence, n: int) -> Weight:
 
 
 def weighted_degrees(f: SparsePolynomial, weight: Sequence) -> tuple[list[Fraction], Fraction]:
-    """Inner products of the weight with every exponent of f, and their maximum."""
+    """Inner products of the weight with every exponent of f, and their maximum.
+
+    The weight is scaled to integers by the lcm d of its denominators once;
+    each product is an integer dot product over d.
+    """
     w = weight_vector(weight, f.n)
-    products = [sum(wi * e for wi, e in zip(w, t.exponent)) for t in f.terms]
-    return products, max(products)
+    d = math.lcm(*(wi.denominator for wi in w))
+    iw = [wi.numerator * (d // wi.denominator) for wi in w]
+    sums = [sum(map(mul, iw, t.exponent)) for t in f.terms]
+    return [Fraction(p, d) for p in sums], Fraction(max(sums), d)
 
 
 def initial_form(f: SparsePolynomial, weight: Sequence) -> SparsePolynomial:

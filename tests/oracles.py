@@ -8,8 +8,9 @@ through every subset of zero coordinates, non-negative integer solutions
 through a scan of an explicitly capped box, minimal semigroup generators
 through the closure of {0} under adding generators, and the JSON text of a
 document through the standard ``json`` module with the rational rule of
-``fraction_text``, and polynomial text through a character scanner that
-splits signed chunks and reads each number with ``Fraction(str)``.
+``fraction_text``, polynomial text through a character scanner that
+splits signed chunks and reads each number with ``Fraction(str)``, and
+weighted degrees through sums of ``Fraction`` products.
 Only the ``rref`` helper (and ``row_space_equal`` on it) reads the
 library's ``echelon``; sympy checks it.
 """
@@ -457,3 +458,10 @@ def random_weight(rng, n, bound=9):
     return tuple(
         Fraction(rng.randint(-bound, bound), rng.choice([1, 1, 2, 3])) for _ in range(n)
     )
+
+
+def weighted_degrees_by_fractions(f: SparsePolynomial, weight):
+    """The inner product of the weight with each exponent of f, as a sum of
+    Fraction products, and their maximum."""
+    products = [sum(Fraction(w) * e for w, e in zip(weight, t.exponent)) for t in f.terms]
+    return products, max(products)

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -129,6 +130,17 @@ def test_classify_takes_a_negative_weight_after_equals(capsys):
     assert_document(out, {"weight": [-1, 0, 1, -1], "S": subset, "in_tropical_variety": True})
     # without "=" argparse takes the leading "-" for an option: no value
     code, out, err = run_cli(capsys, argv[:-1] + ["--classify", "-1,0,1,-1"])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["code"] == "validation_error"
+
+
+def test_vectors_parse_to_fractions(capsys):
+    parsed = cli._parse_vector(" 6,+2,-3,1/2")
+    assert parsed == (6, 2, -3, Fraction(1, 2))
+    assert all(type(v) is Fraction for v in parsed)
+    # a weight entry past int()'s digit limit is a validation error, not a crash
+    argv = ["trop", "x+y", "--vars", "x,y", "--classify=1" + "0" * 4300 + ",0"]
+    code, out, err = run_cli(capsys, argv)
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["code"] == "validation_error"
 

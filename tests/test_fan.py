@@ -18,7 +18,7 @@ from wellpoised import (
     tropical_variety,
 )
 from wellpoised import linalg
-from oracles import random_disjoint_polynomial, row_space_equal
+from oracles import random_disjoint_polynomial, row_space_equal, weighted_degrees_by_fractions
 
 XYZW = ["x", "y", "z", "w"]
 F = parse("x + y^2 + z*w", XYZW)
@@ -203,6 +203,24 @@ def test_decompose_weight_certificates():
             assert d.S == classify_weight(f, w)
             assert all(lam > 0 for lam in d.ray_coefficients)
             assert {r.i for r in d.rays} == set(range(1, f.k + 1)) - set(d.S)
+            assert d.reconstruct() == w
+
+
+def test_classify_and_decompose_rational_weights_exactly():
+    rng = random.Random(71)
+    for _ in range(10):
+        f = random_disjoint_polynomial(rng, max_n=6, max_k=5)
+        for _ in range(30):
+            w = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(f.n))
+            products, top = weighted_degrees_by_fractions(f, w)
+            subset = tuple(i for i, p in enumerate(products, 1) if p == top)
+            assert classify_weight(f, w) == subset
+            d = decompose_weight(f, w)
+            assert d.S == subset
+            assert d.ray_coefficients == tuple(
+                (top - products[r.i - 1]) / sum(f.term(r.i).exponent) for r in d.rays
+            )
+            assert all(type(lam) is Fraction for lam in d.ray_coefficients)
             assert d.reconstruct() == w
 
 

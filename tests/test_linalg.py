@@ -545,3 +545,57 @@ def test_integer_points_match_box_scan_in_wide_bounds():
         assert found == sorted(expected, key=free_order(rows, bounds))
         nonempty += bool(expected)
     assert nonempty >= 20
+
+
+def test_integer_points_step_past_the_range():
+    # 7x + z = 3 asks z = 3 (mod 7): the step 7 is wider than z's range
+    assert list(linalg.integer_points([[7, 0, 1]], [3], [(-5, 5), (0, 0), (0, 5)])) == [
+        (0, 0, 3)
+    ]
+    assert list(linalg.integer_points([[7, 0, 1]], [3], [(-5, 5), (0, 0), (4, 9)])) == []
+    # 3x + z = 1 and 5y + z = 2 fold into z = 7 (mod 15), with z in [0, 10]
+    rows, rhs = [[3, 0, 1], [0, 5, 1]], [1, 2]
+    assert list(linalg.integer_points(rows, rhs, [(-9, 9), (-9, 9), (0, 10)])) == [(-2, -1, 7)]
+    # 2x + z = 1 and 4y + 2z = 1: no integer z makes both pivots whole
+    assert list(linalg.integer_points([[2, 0, 1], [0, 4, 2]], [1, 1], [(-9, 9)] * 3)) == []
+
+
+def _congruence_system(rng):
+    """Two or three pivot rows already in echelon form, each den * x[i] plus
+    terms of one or two free columns, with denominators > 1 that are now
+    coprime, now sharing factors; the last free column's entries include 0
+    and negative values.  The rhs comes from a planted point, now and then
+    moved by one, so some congruences cannot all hold."""
+    pivots, free = rng.choice([(2, 1), (3, 1), (2, 2)])
+    dens = rng.sample(rng.choice([[3, 5, 7], [4, 6, 10], [2, 4, 8], [6, 9, 12], [1, 5, 12]]), pivots)
+    n = pivots + free
+    rows = []
+    for i, d in enumerate(dens):
+        row = [d if j == i else 0 for j in range(pivots)]
+        row += [rng.randint(-3, 3) for _ in range(free - 1)]
+        row.append(rng.choice([0, -1, 1, -2, 2, -3, 5, -6]))
+        rows.append(row)
+    point = [rng.randint(-2, 2) for _ in range(pivots)] + [rng.randint(-20, 20) for _ in range(free)]
+    rhs = [sum(a * v for a, v in zip(row, point)) for row in rows]
+    if rng.random() < 0.4:
+        rhs[rng.randrange(len(rhs))] += rng.choice([-1, 1])
+    order = list(range(len(rows)))
+    rng.shuffle(order)
+    rows, rhs = [rows[i] for i in order], [rhs[i] for i in order]
+    wide = 60 if free == 1 else 6
+    bounds = [(v - rng.randint(0, 4), v + rng.randint(0, 4)) for v in point[:pivots]]
+    bounds += [(v - rng.randint(0, wide), v + rng.randint(0, wide)) for v in point[pivots:]]
+    return rows, rhs, bounds
+
+
+def test_integer_points_step_through_residue_classes():
+    rng = random.Random(31)
+    nonempty = empty = 0
+    for _ in range(120):
+        rows, rhs, bounds = _congruence_system(rng)
+        expected = box_scan(rows, rhs, bounds)
+        found = list(linalg.integer_points(rows, rhs, bounds))
+        assert found == sorted(expected, key=free_order(rows, bounds))
+        nonempty += bool(expected)
+        empty += not expected
+    assert nonempty >= 70 and empty >= 25

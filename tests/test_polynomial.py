@@ -20,7 +20,14 @@ from wellpoised import (
     to_string,
 )
 from wellpoised.fan import lineality_basis
-from oracles import parse_by_chunks, random_disjoint_polynomial, random_weight
+from wellpoised.polynomial import weighted_degrees
+from oracles import (
+    inject_shared_variable,
+    parse_by_chunks,
+    random_disjoint_polynomial,
+    random_weight,
+    weighted_degrees_by_fractions,
+)
 
 XYZW = ["x", "y", "z", "w"]
 
@@ -140,6 +147,21 @@ def test_initial_form_examples():
     assert initial_form(f, (0, 0, 0, 0)) == f
     assert to_string(initial_form(f, (1, 0, 0, 0))) == "x"
     assert to_string(initial_form(f, (0, 0, -1, -1))) == "x + y^2"
+
+
+def test_weighted_degrees_match_fraction_sums():
+    rng = random.Random(43)
+    for _ in range(300):
+        f = random_disjoint_polynomial(rng, max_n=6, max_k=5)
+        if rng.random() < 0.5:
+            f = inject_shared_variable(rng, f)
+        w = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(f.n))
+        products, top = weighted_degrees(f, w)
+        expected, expected_top = weighted_degrees_by_fractions(f, w)
+        assert products == expected and top == expected_top
+        assert all(type(p) is Fraction for p in products) and type(top) is Fraction
+        kept = tuple(t for t, p in zip(f.terms, expected) if p == expected_top)
+        assert initial_form(f, w).terms == kept
 
 
 def test_initial_form_dimension_mismatch():
@@ -297,6 +319,31 @@ def test_from_terms_reads_text_coefficients_and_list_exponents():
         (Fraction(3, 2), (0, 1)),
     ]
     assert all(type(t.coefficient) is Fraction and type(t.exponent) is tuple for t in f.terms)
+
+
+def test_terms_hold_fractions_and_int_tuples():
+    def assert_types(f):
+        assert all(type(t.coefficient) is Fraction for t in f.terms)
+        assert all(type(t.exponent) is tuple for t in f.terms)
+        assert all(type(e) is int for t in f.terms for e in t.exponent)
+
+    assert_types(parse("2*x - 3/6*y + 4/2*x*y + 1", ["x", "y"]))
+    for coefficients in [(2, -1), ("2", "-1/3"), (Fraction(2), Fraction(-1, 3)), (2, "1/2")]:
+        terms = zip(coefficients, [[1, 0], (0, 1)])
+        assert_types(SparsePolynomial.from_terms(terms, variables=("x", "y")))
+    # int and Fraction coefficients of one exponent merge exactly
+    f = SparsePolynomial.from_terms([(1, (1,)), (Fraction(1, 2), (1,)), ("1/2", (1,))])
+    assert [(t.coefficient, t.exponent) for t in f.terms] == [(2, (1,))]
+    assert_types(f)
+    term = Term(2, [1, 0])
+    assert term == Term(Fraction(2), (1, 0))
+    assert type(term.coefficient) is Fraction and type(term.exponent) is tuple
+    assert all(type(e) is int for e in term.exponent)
+    f = parse("x - x + y", ["x", "y"])
+    assert [(t.coefficient, t.exponent) for t in f.terms] == [(1, (0, 1))]
+    assert_types(f)
+    with pytest.raises(ValueError, match="nonzero"):
+        Term(0, (1, 0))
 
 
 def test_from_terms_rejects_empty():
