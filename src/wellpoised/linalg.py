@@ -3,16 +3,16 @@
 Inputs are plain sequences of ``fractions.Fraction`` (or ints).  The systems
 in this package are tiny, so Gauss-Jordan elimination, one polyhedral kernel
 (double description: the equations and facets of the cone some vectors
-generate) and one integer-point kernel (a pruned depth-first search whose
-last free column steps through the one residue class that leaves every
-pivot whole, the only integer search in the package) run exactly instead
-of through floating-point solvers: every answer is exact and every
-certificate is checkable.  All of them share one pivot step that runs
-fraction-free on integer rows (each row scaled by the lcm of its
-denominators, cross-multiplied at a pivot and divided by the gcd of its
-entries).  ``echelon`` returns those integer rows; rank, unique solutions
-and the double description read them directly, and answers come back as
-``Fraction``.
+generate) and one integer-point kernel (a pruned depth-first search over
+the free columns whose last one steps through the one residue class that
+leaves every pivot whole, the only integer search in the package; a fully
+determined system is settled at the root) run exactly instead of through
+floating-point solvers: every answer is exact and every certificate is
+checkable.  All of them share one pivot step that runs fraction-free on
+integer rows (each row scaled by the lcm of its denominators,
+cross-multiplied at a pivot and divided by the gcd of its entries).
+``echelon`` returns those integer rows; unique solutions and the double
+description read them directly, and answers come back as ``Fraction``.
 """
 
 from __future__ import annotations
@@ -73,10 +73,6 @@ def echelon(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], list[int
         if r == len(m):
             break
     return m[:r], pivots
-
-
-def rank(rows: Sequence[Sequence[Scalar]]) -> int:
-    return len(echelon(rows)[1])
 
 
 def solve_unique(rows, rhs) -> Optional[Vector]:
@@ -168,8 +164,8 @@ def integer_points(rows, rhs, bounds) -> Iterator[tuple[int, ...]]:
     one class v = start (mod step) (the generalised Chinese remainder
     theorem), so the last column walks that class upward through its range
     and reads each pivot coordinate as an exact quotient; an inconsistent
-    class leaves nothing.  With no free column, each pivot coordinate is
-    solved by divmod and a remainder drops the point.
+    class leaves nothing.  A system with no free column is settled at the
+    root: its one point comes out when every pivot divides its target.
     """
     n = len(bounds)
     reduced, pivots = echelon([[*row, b] for row, b in zip(rows, rhs)])
@@ -190,14 +186,7 @@ def integer_points(rows, rhs, bounds) -> Iterator[tuple[int, ...]]:
     last = len(free) - 1
 
     def search(t: int, rest: list[int]) -> Iterator[tuple[int, ...]]:
-        # every rest[i] lies within reach[t][i]
-        if t > last:  # no free column
-            for c, d, r in zip(pivots, dens, rest):
-                x[c], remainder = divmod(r, d)
-                if remainder:
-                    return
-            yield tuple(x)
-            return
+        # every rest[i] lies within reach[t][i], and t <= last
         lo, hi = bounds[free[t]]
         column = coeffs[t]
         for a, r, (least, most) in zip(column, rest, reach[t + 1]):
@@ -238,14 +227,18 @@ def integer_points(rows, rhs, bounds) -> Iterator[tuple[int, ...]]:
     b = [s[-1] for s in reduced]
     # search's invariant at the root: the only check of rows with no free
     # term, and the whole bound check when no column is free
-    if all(least <= r <= most for r, (least, most) in zip(b, reach[0])):
+    if not all(least <= r <= most for r, (least, most) in zip(b, reach[0])):
+        return
+    if free:
         yield from search(0, b)
+    elif all(r % d == 0 for d, r in zip(dens, b)):
+        yield tuple(r // d for d, r in zip(dens, b))
 
 
 def primitive_integer(vec: Sequence[int]) -> tuple[int, ...]:
     """Divide an integer vector by the gcd of its entries (no-op on zero)."""
     ints = [int(x) for x in vec]
-    g = math.gcd(*(abs(x) for x in ints)) if ints else 0
+    g = math.gcd(*ints)
     if g > 1:
         return tuple(x // g for x in ints)
     return tuple(ints)

@@ -29,6 +29,7 @@ from .polynomial import (
     Exponent,
     PreconditionError,
     SparsePolynomial,
+    _exact_ints,
     graded_lex_key,
 )
 
@@ -107,7 +108,7 @@ def minimal_semigroup_generators(vectors: Iterable[Sequence]) -> tuple[Point, ..
         others = [h for h in kept if h != g]
         rows = [[h[i] for h in others] for i in range(len(g))]
         bounds = [(0, value[g] // value[h]) for h in others]
-        if others and next(linalg.integer_points(rows, g, bounds), None) is not None:
+        if next(linalg.integer_points(rows, g, bounds), None) is not None:
             kept = others
     return tuple(kept)
 
@@ -143,15 +144,20 @@ class Grading:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.entries or any(e <= 0 for e in self.entries):
+        try:
+            entries = _exact_ints(self.entries)
+        except ValueError:  # a value that int() would truncate
+            entries = ()
+        if not entries or any(e <= 0 for e in entries):
             raise PreconditionError("grading entries must be positive integers")
+        object.__setattr__(self, "entries", entries)
 
     def __getitem__(self, j: int) -> int:
         return self.entries[j]
 
 
 def _check_grading(f: SparsePolynomial, grading) -> Grading:
-    d = grading if isinstance(grading, Grading) else Grading(tuple(int(x) for x in grading))
+    d = grading if isinstance(grading, Grading) else Grading(grading)
     if len(d.entries) != f.n:
         raise PreconditionError("grading length differs from variable count")
     values = {sum(e * w for e, w in zip(t.exponent, d.entries)) for t in f.terms}
@@ -182,10 +188,9 @@ def _make_body(points: Sequence[Sequence]) -> OkounkovBody:
         raise PreconditionError("a body needs at least one point")
     ambient = len(pts[0])
     if ambient == 2:
-        vertices = tuple(convex_hull_2d(pts))
         boundary = tuple(convex_hull_2d(pts, keep_boundary=True))
-        area = shoelace_area(vertices) if len(vertices) >= 3 else Fraction(0)
-        return OkounkovBody(pts, vertices, boundary, area)
+        vertices = tuple(convex_hull_2d(boundary))
+        return OkounkovBody(pts, vertices, boundary, shoelace_area(boundary))
     vertices = tuple(extreme_points(pts))
     return OkounkovBody(pts, vertices, None, None)
 

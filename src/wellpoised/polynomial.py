@@ -48,11 +48,28 @@ def total_degree(exponent: Sequence[int]) -> int:
     return sum(exponent)
 
 
+def _exact_ints(values: Iterable) -> tuple[int, ...]:
+    """The values as a tuple of ints; a tuple of ints comes back as it is.
+
+    Raises ValueError for a value that is not exactly an integer, such as
+    5/2 or 2.9, which int() would truncate.
+    """
+    if type(values) is tuple and all(type(v) is int for v in values):
+        return values
+    ints = []
+    for v in values:
+        q = Fraction(v)
+        if q.denominator != 1:
+            raise ValueError(f"{v!r} is not an integer")
+        ints.append(q.numerator)
+    return tuple(ints)
+
+
 def exponent_gcd(a: Sequence[int], b: Sequence[int]) -> int:
     """gcd of all entries of both vectors jointly; 0 when all entries vanish."""
     if len(a) != len(b):
         raise PreconditionError("exponent vectors have different lengths")
-    return math.gcd(*(abs(int(e)) for e in a), *(abs(int(e)) for e in b))
+    return math.gcd(*_exact_ints(a), *_exact_ints(b))
 
 
 @dataclass(frozen=True)
@@ -64,7 +81,7 @@ class Term:
         if type(self.coefficient) is not Fraction:
             object.__setattr__(self, "coefficient", Fraction(self.coefficient))
         if type(self.exponent) is not tuple or any(type(e) is not int for e in self.exponent):
-            object.__setattr__(self, "exponent", tuple(map(int, self.exponent)))
+            object.__setattr__(self, "exponent", _exact_ints(self.exponent))
         if self.coefficient == 0:
             raise ValueError("term coefficient must be nonzero")
         if any(e < 0 for e in self.exponent):
@@ -111,7 +128,7 @@ class SparsePolynomial:
         """
         merged: dict[Exponent, Union[int, Fraction]] = {}
         for coeff, exp in terms:
-            e = tuple(map(int, exp))
+            e = _exact_ints(exp)
             if type(coeff) is not int and type(coeff) is not Fraction:
                 coeff = Fraction(coeff)
             merged[e] = merged.get(e, 0) + coeff

@@ -6,8 +6,9 @@ explicit minors, solving through a standalone elimination routine, linear
 programs through a simplex over a Fraction tableau, polytope vertices
 through every subset of zero coordinates, non-negative integer solutions
 through a scan of an explicitly capped box, minimal semigroup generators
-through the closure of {0} under adding generators, and the JSON text of a
-document through the standard ``json`` module with the rational rule of
+through the closure of {0} under adding generators, primitive integer
+rows through a gcd of the scaled entries, and the JSON text of a document
+through the standard ``json`` module with the rational rule of
 ``fraction_text``, polynomial text through a character scanner that
 splits signed chunks and reads each number with ``Fraction(str)``, and
 weighted degrees through sums of ``Fraction`` products.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -386,6 +388,30 @@ def minimal_generators_by_closure(generators, phi):
             (d := tuple(a - b for a, b in zip(g, h))) != zero and d in sums for h in gens
         )
     }
+
+
+def primitive_row(row) -> tuple[int, ...]:
+    """The positive multiple of a rational row with coprime integer entries
+    (the zero row stays zero)."""
+    d = math.lcm(*(Fraction(x).denominator for x in row))
+    ints = [int(x * d) for x in row]
+    g = math.gcd(*ints) or 1
+    return tuple(x // g for x in ints)
+
+
+def sample_cone_point(rng, c):
+    """Random rational point of C_S: lineality combination plus positive rays."""
+    n = len(c.lineality.v_f)
+    point = [Fraction(0)] * n
+    for row in c.lineality.rows:
+        lam = Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3]))
+        for j in range(n):
+            point[j] += lam * row[j]
+    for ray in c.rays:
+        lam = Fraction(rng.randint(1, 6), rng.choice([1, 2, 3]))
+        for j in range(n):
+            point[j] += lam * ray.w[j]
+    return tuple(point)
 
 
 def triangulation_area(cycle) -> Fraction:

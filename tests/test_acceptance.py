@@ -26,7 +26,6 @@ from wellpoised import (
     is_simplex,
     is_well_poised,
     lattice_points,
-    linalg,
     lineality_basis,
     minkowski_decomposition_witness,
     newton_polytope,
@@ -42,6 +41,7 @@ from oracles import (
     random_disjoint_polynomial,
     rank_by_minors,
     row_space_equal,
+    sample_cone_point,
 )
 
 E8 = parse("x^2 + y^3 + z^5", ["x", "y", "z"])
@@ -82,20 +82,6 @@ def criterion(number, title):
         print(f"ACCEPTANCE {number} ({title}): FAIL")
         raise
     print(f"ACCEPTANCE {number} ({title}): PASS")
-
-
-def sample_cone_point(rng, c):
-    n = len(c.lineality.v_f)
-    point = [Fraction(0)] * n
-    for row in c.lineality.rows:
-        lam = Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3]))
-        for j in range(n):
-            point[j] += lam * row[j]
-    for ray in c.rays:
-        lam = Fraction(rng.randint(1, 6), rng.choice([1, 2, 3]))
-        for j in range(n):
-            point[j] += lam * ray.w[j]
-    return tuple(point)
 
 
 def test_criterion_1_worked_example_classifications():
@@ -252,7 +238,7 @@ def test_criterion_6_structural_identities():
             for subset in pairs:
                 m = valuation_matrix(f, subset)
                 assert len(m.rows) == f.n - 1
-                assert linalg.rank(m.rows) == f.n - 1
+                assert rank_by_minors(m.rows) == f.n - 1
             for s, t in itertools.combinations(pairs, 2):
                 if len(set(s) & set(t)) != 1:
                     continue

@@ -18,25 +18,16 @@ from wellpoised import (
     tropical_variety,
 )
 from wellpoised import linalg
-from oracles import random_disjoint_polynomial, row_space_equal, weighted_degrees_by_fractions
+from oracles import (
+    random_disjoint_polynomial,
+    rank_by_minors,
+    row_space_equal,
+    sample_cone_point,
+    weighted_degrees_by_fractions,
+)
 
 XYZW = ["x", "y", "z", "w"]
 F = parse("x + y^2 + z*w", XYZW)
-
-
-def sample_cone_point(rng, c):
-    """Random rational point of C_S: lineality combination plus positive rays."""
-    n = len(c.lineality.v_f)
-    point = [Fraction(0)] * n
-    for row in c.lineality.rows:
-        lam = Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3]))
-        for j in range(n):
-            point[j] += lam * row[j]
-    for ray in c.rays:
-        lam = Fraction(rng.randint(1, 6), rng.choice([1, 2, 3]))
-        for j in range(n):
-            point[j] += lam * ray.w[j]
-    return tuple(point)
 
 
 def test_homogeneity_vector_examples():
@@ -109,7 +100,7 @@ def test_lineality_vectors_are_integral_primitive_and_orthogonal():
         f = random_disjoint_polynomial(rng)
         basis = lineality_basis(f)
         assert len(basis.rows) == 1 + (f.n - f.k)
-        assert linalg.rank(basis.rows) == len(basis.rows)
+        assert rank_by_minors(basis.rows) == len(basis.rows)
         for t in f.terms:
             products = {
                 sum(a * b for a, b in zip(row, t.exponent)) for row in basis.kernel_vectors

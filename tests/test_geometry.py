@@ -29,6 +29,7 @@ from oracles import (
     in_hull_caratheodory,
     in_hull_facets,
     in_hull_lp,
+    primitive_row,
     random_disjoint_polynomial,
     rank_by_minors,
 )
@@ -422,12 +423,6 @@ def test_contains_matches_the_lp_and_the_facet_oracle_on_a_box():
             assert p.contains(point) == oracle(point)
 
 
-def _primitive(row):
-    """The positive multiple of a rational row with coprime integer entries."""
-    d = math.lcm(*(Fraction(x).denominator for x in row))
-    return linalg.primitive_integer([x * d for x in row])
-
-
 def test_facets_match_the_subset_oracle_on_full_dimensional_clouds():
     # the same inequalities up to a positive factor, and no redundant one
     rng = random.Random(73)
@@ -439,10 +434,10 @@ def test_facets_match_the_subset_oracle_on_full_dimensional_clouds():
         p = LatticePolytope.from_points(cloud)
         assert p.equations == ()
         expected = {
-            _primitive([*(-x for x in normal), offset])
+            primitive_row([*(-x for x in normal), offset])
             for normal, offset in facets_by_subsets(distinct)
         }
-        found = [_primitive(f) for f in p.facets]
+        found = [primitive_row(f) for f in p.facets]
         assert len(found) == len(set(found)) and set(found) == expected
         checked += 1
     assert checked >= 10

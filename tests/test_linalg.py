@@ -24,9 +24,10 @@ def test_rref_identity_like():
 
 
 def test_rank_hand_cases():
-    assert linalg.rank([[1, 2], [2, 4]]) == 1
-    assert linalg.rank([[1, 0, 0], [0, 1, 0], [1, 1, 0]]) == 2
-    assert linalg.rank([[0, 0], [0, 0]]) == 0
+    # the rank is the number of pivot columns echelon reports
+    assert len(linalg.echelon([[1, 2], [2, 4]])[1]) == 1
+    assert len(linalg.echelon([[1, 0, 0], [0, 1, 0], [1, 1, 0]])[1]) == 2
+    assert len(linalg.echelon([[0, 0], [0, 0]])[1]) == 0
 
 
 def test_rank_matches_minor_oracle():
@@ -38,7 +39,7 @@ def test_rank_matches_minor_oracle():
         ]
         width = max(len(r) for r in rows)
         rows = [r + [0] * (width - len(r)) for r in rows]
-        assert linalg.rank(rows) == rank_by_minors(rows)
+        assert len(linalg.echelon(rows)[1]) == rank_by_minors(rows)
 
 
 def test_row_space_equal():
@@ -467,6 +468,14 @@ def test_integer_points_hand_cases():
     # a square system: no free coordinate, the pivot bounds alone decide
     assert list(linalg.integer_points([[1, 0], [0, 1]], [2, 3], [(0, 2), (0, 3)])) == [(2, 3)]
     assert list(linalg.integer_points([[1, 0], [0, 1]], [2, 3], [(0, 2), (0, 2)])) == []
+    # pivots 2 and 3: a target that is not a multiple leaves no point
+    diagonal = [[2, 0], [0, 3]]
+    assert list(linalg.integer_points(diagonal, [3, 6], [(0, 5), (0, 5)])) == []
+    assert list(linalg.integer_points(diagonal, [4, 6], [(0, 5), (0, 5)])) == [(2, 2)]
+    # no columns at all: the empty point, unless a row asks 0 = 1
+    assert list(linalg.integer_points([], [], [])) == [()]
+    assert list(linalg.integer_points([[]], [0], [])) == [()]
+    assert list(linalg.integer_points([[]], [1], [])) == []
     # callers filter the points that pass the equalities
     kept = filter(lambda x: x[0] == 1, linalg.integer_points([[1, 1, 1]], [2], [(0, 2)] * 3))
     assert sorted(kept) == [(1, 0, 1), (1, 1, 0)]

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from wellpoised import (
     PreconditionError,
     SparsePolynomial,
+    convex_hull_2d,
     equality_polytope_vertices,
     exponent_gcd,
     global_nok_cone,
@@ -31,7 +32,9 @@ from oracles import (
     minimal_generators_by_closure,
     nonnegative_solutions_by_box,
     polytope_vertices_by_zero_sets,
+    primitive_row,
     random_disjoint_polynomial,
+    rank_by_minors,
     triangulation_area,
 )
 
@@ -81,7 +84,7 @@ def test_valuation_matrix_shape_and_rank():
         )
         for subset in itertools.combinations(range(1, f.k + 1), 2):
             m = valuation_matrix(f, subset)
-            assert len(m.rows) == linalg.rank(m.rows) == f.n - 1
+            assert len(m.rows) == rank_by_minors(m.rows) == f.n - 1
 
 
 def test_adjacent_matrices_differ_in_one_row():
@@ -222,6 +225,16 @@ def test_nok_body_degenerate_point():
     body = nok_body(parse("x + y", ["x", "y"]), (1, 1), (1, 2))
     assert body.points == ((1,), (1,))
     assert body.vertices == ((1,),)
+
+
+def test_nok_body_rejects_a_grading_that_is_not_integral():
+    # int() would read these as (2, 1, 1, 1), a valid grading of F
+    for grading in ([Fraction(5, 2), 1, 1, 1], [2.9, 1, 1, 1]):
+        with pytest.raises(PreconditionError, match="grading entries must be positive integers"):
+            nok_body(F, grading, (2, 3))
+    # integral values of other types are read exactly
+    body = nok_body(F, [2.0, Fraction(1), "1", True], (2, 3))
+    assert body == nok_body(F, (2, 1, 1, 1), (2, 3))
 
 
 def test_nok_body_rejects_bad_grading():
@@ -412,11 +425,6 @@ def unbounded_system(rng, n):
     return rows, [rng.randint(0, 2) for _ in range(n)], r
 
 
-def primitive_row(row):
-    d = math.lcm(*(Fraction(x).denominator for x in row))
-    return linalg.primitive_integer([x * d for x in row])
-
-
 def test_graded_component_matches_box_oracle():
     rng = random.Random(43)
     seen = Counter()
@@ -564,6 +572,32 @@ def test_projected_bodies_reproduce_planar_figures():
     assert set(body3.boundary) == set(body1.boundary)
     assert body3.vertices == body1.vertices
     assert body3.area == 24
+
+
+def test_planar_bodies_match_their_hulls():
+    # one hull pass with boundary points gives the vertex cycle and the area
+    rng = random.Random(97)
+    seen = Counter()
+    for _ in range(400):
+        size = rng.randint(1, 9)
+        if rng.random() < 0.2:  # collinear: on a line through a with direction d
+            a = (Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3])), rng.randint(-4, 4))
+            d = (Fraction(rng.randint(-3, 3), rng.choice([1, 2])), rng.randint(-3, 3))
+            steps = [rng.randint(-3, 3) for _ in range(size)]
+            pts = [(a[0] + t * d[0], a[1] + t * d[1]) for t in steps]
+        else:
+            pts = [
+                (Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3])), rng.randint(-3, 3))
+                for _ in range(size)
+            ]
+        pts += rng.sample(pts, rng.randint(0, len(pts)))  # duplicates
+        body = okounkov._make_body(pts)
+        assert body.vertices == tuple(convex_hull_2d(pts))
+        assert body.boundary == tuple(convex_hull_2d(pts, keep_boundary=True))
+        expected = triangulation_area(body.vertices) if len(body.vertices) >= 3 else 0
+        assert body.area == expected and type(body.area) is Fraction
+        seen[min(len(body.vertices), 3)] += 1
+    assert seen[1] >= 30 and seen[2] >= 60 and seen[3] >= 200
 
 
 def test_projected_body_higher_dimensional_image():

@@ -346,6 +346,21 @@ def test_terms_hold_fractions_and_int_tuples():
         Term(0, (1, 0))
 
 
+def test_exponents_must_be_exactly_integers():
+    # int() would truncate each of these to a different, valid exponent
+    with pytest.raises(ValueError, match="not an integer"):
+        Term(1, [Fraction(3, 2), 0])
+    with pytest.raises(ValueError, match="not an integer"):
+        SparsePolynomial.from_terms([(1, (1.7, 0)), (1, (0, 1))])
+    with pytest.raises(ValueError, match="not an integer"):
+        exponent_gcd((Fraction(9, 2),), (3,))
+    # integral values of other types are read exactly
+    assert Term(1, [Fraction(3), 2.0, "1", True]).exponent == (3, 2, 1, 1)
+    f = SparsePolynomial.from_terms([(1, (Fraction(2), 0)), (1, ("0", 1.0))])
+    assert f.exponents() == ((0, 1), (2, 0))
+    assert exponent_gcd((Fraction(9),), (3.0,)) == 3
+
+
 def test_from_terms_rejects_empty():
     with pytest.raises(ValueError):
         SparsePolynomial.from_terms([(1, (1, 0)), (-1, (1, 0))])
