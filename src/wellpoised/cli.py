@@ -1,12 +1,15 @@
 """Command-line front end.
 
-Each command is a thin adapter: it parses its inputs, runs one library
-operation, and builds that operation's JSON document from the library's
-values, with its keys in a fixed order; ``run`` puts ``schema_version``
-first and prints the document with ``serialize.dumps`` (or as a human table
-with --format table).  Exit status: 0 on success, 2 for input or
-validation errors, 3 for violated operation preconditions.  Errors are
-reported as one-line JSON documents on standard error.
+The parser declares each command: its subparser names the handler that runs
+it and marks the options it cannot run without as required, so argparse
+reports a missing one.  Each handler is a thin adapter: it parses its option
+values, runs one library operation, and builds that operation's JSON
+document from the library's values, with its keys in a fixed order; ``run``
+puts ``schema_version`` first and prints the document with
+``serialize.dumps`` (or as a human table with --format table).  Exit
+status: 0 on success, 2 for input or validation errors, 3 for violated
+operation preconditions.  Errors are reported as one-line JSON documents on
+standard error.
 
 The module itself loads only ``polynomial`` and ``serialize``; each command
 imports the layer it calls when it runs, so ``check`` starts without the
@@ -104,8 +107,6 @@ def _load_points(path: str) -> list[tuple[Fraction, ...]]:
 
 
 def _polynomial(args) -> SparsePolynomial:
-    if not args.vars:
-        raise UsageError("--vars is required")
     names = [v.strip() for v in args.vars.split(",") if v.strip()]
     return parse(args.polynomial, names)
 
@@ -194,8 +195,6 @@ def _cmd_matrix(args) -> dict:
     from . import okounkov
 
     f = _polynomial(args)
-    if args.S is None:
-        raise UsageError("--S is required")
     m = okounkov.valuation_matrix(f, _parse_ints(args.S, _SUBSET_ERROR))
     return {
         "S": m.S,
@@ -245,8 +244,6 @@ def _cmd_graded(args) -> dict:
 def _cmd_project(args) -> dict:
     from . import okounkov
 
-    if args.rows is None:
-        raise UsageError("--rows is required")
     rows = _parse_rows(args.rows)
     if args.points is not None:
         points = _load_points(args.points)
@@ -262,18 +259,6 @@ def _cmd_project(args) -> dict:
     return _body(okounkov.projected_body(points, rows))
 
 
-_COMMANDS = {
-    "check": _cmd_check,
-    "polytope": _cmd_polytope,
-    "faces": _cmd_faces,
-    "trop": _cmd_trop,
-    "matrix": _cmd_matrix,
-    "nok": _cmd_nok,
-    "graded": _cmd_graded,
-    "project": _cmd_project,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="wellpoised",
@@ -281,48 +266,49 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, polynomial=True):
+    def common(p, handler, polynomial=True):
+        p.set_defaults(handler=handler)
         if polynomial:
             p.add_argument("polynomial", help="polynomial text, e.g. 'x^2+y^3+z^5'")
-            p.add_argument("--vars", help="comma-separated variable names, in order")
+            p.add_argument("--vars", required=True, help="comma-separated variable names, in order")
         p.add_argument("--format", choices=("json", "table"), default="json")
         p.add_argument("--output", help="write the document to this path")
 
-    common(sub.add_parser("check", help="well-poised classification"))
+    common(sub.add_parser("check", help="well-poised classification"), _cmd_check)
 
     p = sub.add_parser("polytope", help="Newton polytope vertices")
-    common(p)
+    common(p, _cmd_polytope)
     p.add_argument("--lattice", action="store_true", help="include the lattice census")
     p.add_argument(
         "--minkowski", action="store_true", help="include the decomposition witness"
     )
 
-    common(sub.add_parser("faces", help="faces as term subsets with weights"))
+    common(sub.add_parser("faces", help="faces as term subsets with weights"), _cmd_faces)
 
     p = sub.add_parser("trop", help="tropical cones, or classify one weight")
-    common(p)
+    common(p, _cmd_trop)
     p.add_argument("--classify", help="weight vector to classify, e.g. '0,0,-1,-1'")
 
     p = sub.add_parser("matrix", help="valuation matrix for a 2-element subset")
-    common(p)
-    p.add_argument("--S", help="two 1-based term indices, e.g. '2,3'")
+    common(p, _cmd_matrix)
+    p.add_argument("--S", required=True, help="two 1-based term indices, e.g. '2,3'")
 
     p = sub.add_parser("nok", help="Newton-Okounkov body or global cone generators")
-    common(p)
+    common(p, _cmd_nok)
     p.add_argument("--S", help="two 1-based term indices")
     p.add_argument("--degree", help="positive integer grading, e.g. '2,1,1,1'")
     p.add_argument("--cone-row", dest="cone_row", help="extra row for the global cone")
 
     p = sub.add_parser("graded", help="enumerate a graded component exactly")
-    common(p, polynomial=False)
+    common(p, _cmd_graded, polynomial=False)
     p.add_argument("--eq-rows", dest="eq_rows", help="rows 'a,b,...;c,d,...'")
     p.add_argument("--eq-targets", dest="eq_targets", help="one target per row")
     p.add_argument("--dim", type=int, help="number of variables")
 
     p = sub.add_parser("project", help="project polytope vertices to a planar body")
-    common(p, polynomial=False)
+    common(p, _cmd_project, polynomial=False)
     p.add_argument("--points", help="JSON file with a list of points")
-    p.add_argument("--rows", help="projection rows 'a,b,...;c,d,...'")
+    p.add_argument("--rows", required=True, help="projection rows 'a,b,...;c,d,...'")
     p.add_argument("--eq-rows", dest="eq_rows", help="equality rows defining P")
     p.add_argument("--eq-targets", dest="eq_targets", help="equality targets")
     p.add_argument("--dim", type=int, help="ambient dimension of P")
@@ -343,7 +329,7 @@ def _parser() -> argparse.ArgumentParser:
 def run(argv: Sequence[str]) -> int:
     try:
         args = _parser().parse_args(list(argv))
-        doc = {"schema_version": SCHEMA_VERSION, **_COMMANDS[args.command](args)}
+        doc = {"schema_version": SCHEMA_VERSION, **args.handler(args)}
     except UsageError as exc:
         _emit_error("validation_error", str(exc))
         return EXIT_VALIDATION

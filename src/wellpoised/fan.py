@@ -21,6 +21,7 @@ from . import linalg
 from .polynomial import (
     PreconditionError,
     SparsePolynomial,
+    _term_subset,
     is_disjointly_supported,
     total_degree,
     weight_vector,
@@ -111,15 +112,6 @@ def ray_generator(f: SparsePolynomial, i: int) -> RayGenerator:
     return RayGenerator(i, tuple(w))
 
 
-def _check_subset(f: SparsePolynomial, subset: Iterable[int]) -> tuple[int, ...]:
-    s = tuple(sorted(set(subset)))
-    if not s:
-        raise PreconditionError("subset S must be nonempty")
-    if s[0] < 1 or s[-1] > f.k:
-        raise PreconditionError(f"subset {s} not contained in 1..{f.k}")
-    return s
-
-
 @dataclass(frozen=True)
 class TropicalCone:
     """C_S in generator form: lineality basis plus one open ray per term not in S."""
@@ -145,7 +137,7 @@ def _cones(f: SparsePolynomial, subsets: Iterable[tuple[int, ...]]) -> list[Trop
 
 
 def cone(f: SparsePolynomial, subset: Iterable[int]) -> TropicalCone:
-    return _cones(f, [_check_subset(f, subset)])[0]
+    return _cones(f, [_term_subset(f, subset)])[0]
 
 
 def classify_weight(f: SparsePolynomial, weight: Sequence) -> tuple[int, ...]:

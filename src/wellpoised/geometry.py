@@ -38,7 +38,13 @@ Row = tuple[int, ...]
 
 
 def canonical_point(point: Sequence) -> Point:
-    """Normalize entries to int when integral, Fraction otherwise."""
+    """Normalize entries to int when integral, Fraction otherwise.
+
+    A bare string is refused: read as a point it would give one entry per
+    character.
+    """
+    if isinstance(point, (str, bytes)):
+        raise ValueError(f"expected a point, not the string {point!r}")
     out = []
     for x in point:
         if type(x) is not int:

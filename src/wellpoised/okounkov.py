@@ -30,6 +30,7 @@ from .polynomial import (
     PreconditionError,
     SparsePolynomial,
     _exact_ints,
+    _term_subset,
     graded_lex_key,
 )
 
@@ -59,7 +60,7 @@ class ValuationMatrix:
 
 
 def valuation_matrix(f: SparsePolynomial, subset: Iterable[int]) -> ValuationMatrix:
-    s = tuple(sorted(set(subset)))
+    s = _term_subset(f, subset)
     if len(s) != 2:
         raise PreconditionError("the subset S must have exactly two elements")
     c = cone(f, s)
@@ -128,12 +129,10 @@ def grading_image(
     """Image of each variable under the grading rows (default: lineality basis)."""
     if rows is None:
         rows = lineality_basis(f).rows
-    rows = [tuple(r) for r in rows]
+    rows = [canonical_point(r) for r in rows]
     if any(len(r) != f.n for r in rows):
         raise PreconditionError("grading rows must have one entry per variable")
-    degrees = tuple(
-        canonical_point(tuple(row[j] for row in rows)) for j in range(f.n)
-    )
+    degrees = tuple(tuple(row[j] for row in rows) for j in range(f.n))
     return GradingImage(degrees, minimal_semigroup_generators(degrees))
 
 
@@ -213,22 +212,21 @@ def global_nok_cone(
     The returned vectors generate the global body's cone over the
     non-negative rationals.
     """
-    row = tuple(extra_row)
+    row = canonical_point(extra_row)
     if len(row) != f.n:
         raise PreconditionError("extra row length differs from variable count")
-    rows = list(lineality_basis(f).rows) + [row]
-    return tuple(
-        canonical_point(tuple(r[j] for r in rows)) for j in range(f.n)
-    )
+    rows = (*lineality_basis(f).rows, row)
+    return tuple(tuple(r[j] for r in rows) for j in range(f.n))
 
 
 def _split_constraints(constraints: Sequence[Constraint], n: int) -> tuple[list, list]:
     """The rows and the targets of the equalities, each row of length n."""
     if not constraints:
         raise PreconditionError("at least one constraint row is required")
-    if any(len(row) != n for row, _ in constraints):
+    rows = [canonical_point(row) for row, _ in constraints]
+    if any(len(row) != n for row in rows):
         raise PreconditionError("constraint row length differs from dimension")
-    return [row for row, _ in constraints], [t for _, t in constraints]
+    return rows, [t for _, t in constraints]
 
 
 def _nonnegative_polyhedron(constraints: Sequence[Constraint], n: int) -> tuple[list, list]:
@@ -299,13 +297,10 @@ def projected_body(points: Sequence[Sequence], rows: Sequence[Sequence]) -> Okou
     Planar images come back with the canonical boundary cycle and exact area;
     higher-dimensional images carry hull vertices only.
     """
-    if not points:
+    pts = [canonical_point(p) for p in points]
+    if not pts:
         raise PreconditionError("projection needs at least one point")
-    if any(len(x) != len(points[0]) for x in (*points, *rows)):
+    proj = [canonical_point(row) for row in rows]
+    if any(len(x) != len(pts[0]) for x in (*pts, *proj)):
         raise PreconditionError("projection rows and points differ in length")
-    proj = [tuple(Fraction(x) for x in row) for row in rows]
-    images = [
-        tuple(sum(r * Fraction(x) for r, x in zip(row, p)) for row in proj)
-        for p in points
-    ]
-    return _make_body(images)
+    return _make_body([tuple(sum(map(mul, row, p)) for row in proj) for p in pts])

@@ -52,10 +52,13 @@ def _exact_ints(values: Iterable) -> tuple[int, ...]:
     """The values as a tuple of ints; a tuple of ints comes back as it is.
 
     Raises ValueError for a value that is not exactly an integer, such as
-    5/2 or 2.9, which int() would truncate.
+    5/2 or 2.9, which int() would truncate, and for a bare string, which
+    would otherwise be read one character at a time.
     """
     if type(values) is tuple and all(type(v) is int for v in values):
         return values
+    if isinstance(values, (str, bytes)):
+        raise ValueError(f"expected a vector of integers, not the string {values!r}")
     ints = []
     for v in values:
         q = Fraction(v)
@@ -80,8 +83,7 @@ class Term:
     def __post_init__(self):
         if type(self.coefficient) is not Fraction:
             object.__setattr__(self, "coefficient", Fraction(self.coefficient))
-        if type(self.exponent) is not tuple or any(type(e) is not int for e in self.exponent):
-            object.__setattr__(self, "exponent", _exact_ints(self.exponent))
+        object.__setattr__(self, "exponent", _exact_ints(self.exponent))
         if self.coefficient == 0:
             raise ValueError("term coefficient must be nonzero")
         if any(e < 0 for e in self.exponent):
@@ -159,14 +161,24 @@ class SparsePolynomial:
 
     def restricted_to(self, indices: Iterable[int]) -> "SparsePolynomial":
         """The sub-sum f_S of the terms named by 1-based indices."""
-        picked = sorted(set(indices))
-        if not picked:
-            raise PreconditionError("index subset must be nonempty")
-        terms = tuple(self.term(i) for i in picked)
+        terms = tuple(self.terms[i - 1] for i in _term_subset(self, indices))
         return SparsePolynomial(n=self.n, terms=terms, variables=self.variables)
 
     def __str__(self) -> str:
         return to_string(self)
+
+
+def _term_subset(f: SparsePolynomial, indices: Iterable[int]) -> tuple[int, ...]:
+    """The term subset S of f: sorted, duplicate-free 1-based indices in 1..K."""
+    try:
+        s = tuple(sorted(set(_exact_ints(indices))))
+    except ValueError as exc:
+        raise PreconditionError(f"subset S: {exc}") from exc
+    if not s:
+        raise PreconditionError("subset S must be nonempty")
+    if s[0] < 1 or s[-1] > f.k:
+        raise PreconditionError(f"subset {s} not contained in 1..{f.k}")
+    return s
 
 
 _NUMBER_RE = re.compile(r"(\d+)(?:/(\d+))?")
@@ -253,6 +265,8 @@ def to_string(f: SparsePolynomial) -> str:
 
 
 def weight_vector(values: Sequence, n: int) -> Weight:
+    if isinstance(values, (str, bytes)):
+        raise PreconditionError(f"a weight is a vector, not the string {values!r}")
     w = tuple(Fraction(v) for v in values)
     if len(w) != n:
         raise PreconditionError(f"weight has length {len(w)}, expected {n}")

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -356,7 +357,12 @@ def test_validation_error_exit_code(capsys, tmp_path):
     latin1_points = tmp_path / "latin1.json"
     latin1_points.write_bytes(b"[[1, 0], [0, 1]] \xff")
     for argv in (
+        # each leaves out an option its command cannot run without
+        ["check", "x"],
         ["matrix", "x+y", "--vars", "x,y"],
+        ["project", "--eq-rows", "1", "--eq-targets", "1", "--dim", "1"],
+        ["graded", "--eq-rows", "1,1", "--eq-targets", "2"],
+        ["nok", "x+y", "--vars", "x,y", "--S", "1,2"],
         ["check", "x", "--vars", "x", "--output", unwritable],
         ["project", "--points", str(long_points), "--rows", "1,0;0,1"],
         ["project", "--points", str(latin1_points), "--rows", "1,0;0,1"],
@@ -426,6 +432,17 @@ COMMANDS = {
     "project": (["--rows", "--eq-rows", "--eq-targets", "--dim"], False),
     "frobnicate": ([], False),
 }
+
+
+def test_the_fuzzed_flags_are_every_option_of_each_command():
+    # help and the options every command shares (--vars: each polynomial one), and
+    # --points, which needs a file
+    drawn_apart = {"-h", "--help", "--vars", "--format", "--output", "--points"}
+    (sub,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(COMMANDS) - {"frobnicate"}
+    for name, parser in sub.choices.items():
+        declared = {flag for action in parser._actions for flag in action.option_strings}
+        assert declared - drawn_apart == set(COMMANDS[name][0]), name
 
 
 def flag_values(dim: int, n: int, k: int) -> dict:

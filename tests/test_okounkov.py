@@ -9,9 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wellpoised import (
+    LatticePolytope,
     PreconditionError,
     SparsePolynomial,
+    Term,
+    classify_weight,
+    cone,
     convex_hull_2d,
+    decompose_weight,
     equality_polytope_vertices,
     exponent_gcd,
     global_nok_cone,
@@ -19,6 +24,8 @@ from wellpoised import (
     graded_lex_key,
     grading_image,
     homogeneity_vector,
+    in_convex_hull,
+    initial_form,
     is_well_poised,
     minimal_semigroup_generators,
     nok_body,
@@ -632,3 +639,33 @@ def test_shoelace_matches_triangulation():
         if len(cycle) < 3:
             continue
         assert shoelace_area(cycle) == triangulation_area(cycle)
+
+
+# Each call passes a string where a vector is expected; iterated, it would
+# be read one character at a time.  PreconditionError is a ValueError.
+STRINGS_FOR_VECTORS = {
+    "Term": (lambda: Term(1, "12"), ValueError),
+    "from_terms": (lambda: SparsePolynomial.from_terms([(1, "10"), (1, "01")]), ValueError),
+    "nok_body-grading": (lambda: nok_body(F, "2111", (2, 3)), PreconditionError),
+    "nok_body-subset": (lambda: nok_body(F, (2, 1, 1, 1), "23"), PreconditionError),
+    "classify_weight": (lambda: classify_weight(F, "1234"), PreconditionError),
+    "initial_form": (lambda: initial_form(F, "1234"), PreconditionError),
+    "decompose_weight": (lambda: decompose_weight(F, "0011"), PreconditionError),
+    "from_points": (lambda: LatticePolytope.from_points(["12", "34"]), ValueError),
+    "in_convex_hull": (lambda: in_convex_hull("11", ["00", "22"]), ValueError),
+    "generators": (lambda: minimal_semigroup_generators(["10", "01", "11"]), ValueError),
+    "global_nok_cone": (lambda: global_nok_cone(DP, "11100"), ValueError),
+    "grading_image": (lambda: grading_image(F, ["2111"]), ValueError),
+    "projected_body": (lambda: projected_body(["12", "34", "56"], ["10", "01"]), ValueError),
+    "graded_component": (lambda: graded_component([("11", 2)], 2), ValueError),
+    "cone": (lambda: cone(F, "12"), PreconditionError),
+    "valuation_matrix": (lambda: valuation_matrix(F, "23"), PreconditionError),
+    "cone-fraction": (lambda: cone(F, [1.5, 2]), PreconditionError),
+}
+
+
+@pytest.mark.parametrize("name", list(STRINGS_FOR_VECTORS))
+def test_a_string_is_not_read_as_a_vector(name):
+    call, error = STRINGS_FOR_VECTORS[name]
+    with pytest.raises(error):  # and neither a value nor a TypeError
+        call()

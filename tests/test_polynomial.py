@@ -373,3 +373,10 @@ def test_term_indexing_is_one_based():
     with pytest.raises(PreconditionError):
         f.term(0)
     assert to_string(f.restricted_to([1, 2])) == "x + y^2"
+
+
+@pytest.mark.parametrize("indices", [[], [4], [0, 1], [1.5]])
+def test_restricted_to_takes_a_term_subset(indices):
+    f = parse("x + y^2 + z*w", XYZW)
+    with pytest.raises(PreconditionError):
+        f.restricted_to(indices)
