@@ -11,6 +11,11 @@ status: 0 on success, 2 for input or validation errors, 3 for violated
 operation preconditions.  Errors are reported as one-line JSON documents on
 standard error.
 
+``run`` builds the parser once per process.  When the first argument names
+a command, that command's own parser reads the rest, as the full parser
+would hand it over; anything else (no argument, -h, an unknown command)
+goes through the full parser.
+
 The module itself loads only ``polynomial`` and ``serialize``; each command
 imports the layer it calls when it runs, so ``check`` starts without the
 geometry, fan, okounkov and linalg layers.
@@ -326,9 +331,28 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _commands() -> dict[str, argparse.ArgumentParser]:
+    """Each command's own parser, taken from the cached full parser."""
+    (action,) = (
+        a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return action.choices
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    # The full parser hands every argument after the command to that
+    # command's parser, which raises the same UsageError; parsing with it
+    # alone skips the top-level pass.
+    command = _commands().get(argv[0]) if argv else None
+    if command is None:
+        return _parser().parse_args(argv)
+    return command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+
+
 def run(argv: Sequence[str]) -> int:
     try:
-        args = _parser().parse_args(list(argv))
+        args = _parse(list(argv))
         doc = {"schema_version": SCHEMA_VERSION, **args.handler(args)}
     except UsageError as exc:
         _emit_error("validation_error", str(exc))

@@ -41,14 +41,17 @@ def canonical_point(point: Sequence) -> Point:
     """Normalize entries to int when integral, Fraction otherwise.
 
     A bare string is refused: read as a point it would give one entry per
-    character.
+    character.  An entry that is not a number raises ValueError.
     """
     if isinstance(point, (str, bytes)):
         raise ValueError(f"expected a point, not the string {point!r}")
     out = []
     for x in point:
         if type(x) is not int:
-            f = Fraction(x)
+            try:
+                f = Fraction(x)
+            except TypeError as exc:
+                raise ValueError(f"point entry {x!r} is not a number") from exc
             x = f.numerator if f.denominator == 1 else f
         out.append(x)
     return tuple(out)

@@ -51,9 +51,10 @@ def total_degree(exponent: Sequence[int]) -> int:
 def _exact_ints(values: Iterable) -> tuple[int, ...]:
     """The values as a tuple of ints; a tuple of ints comes back as it is.
 
-    Raises ValueError for a value that is not exactly an integer, such as
-    5/2 or 2.9, which int() would truncate, and for a bare string, which
-    would otherwise be read one character at a time.
+    Raises ValueError for a value that is not a number, such as None, or
+    not exactly an integer, such as 5/2 or 2.9, which int() would truncate,
+    and for a bare string, which would otherwise be read one character at a
+    time.
     """
     if type(values) is tuple and all(type(v) is int for v in values):
         return values
@@ -61,7 +62,10 @@ def _exact_ints(values: Iterable) -> tuple[int, ...]:
         raise ValueError(f"expected a vector of integers, not the string {values!r}")
     ints = []
     for v in values:
-        q = Fraction(v)
+        try:
+            q = Fraction(v)
+        except TypeError as exc:
+            raise ValueError(f"{v!r} is not a number") from exc
         if q.denominator != 1:
             raise ValueError(f"{v!r} is not an integer")
         ints.append(q.numerator)
@@ -267,10 +271,15 @@ def to_string(f: SparsePolynomial) -> str:
 def weight_vector(values: Sequence, n: int) -> Weight:
     if isinstance(values, (str, bytes)):
         raise PreconditionError(f"a weight is a vector, not the string {values!r}")
-    w = tuple(Fraction(v) for v in values)
+    w = []
+    for v in values:
+        try:
+            w.append(Fraction(v))
+        except TypeError as exc:
+            raise PreconditionError(f"weight entry {v!r} is not a number") from exc
     if len(w) != n:
         raise PreconditionError(f"weight has length {len(w)}, expected {n}")
-    return w
+    return tuple(w)
 
 
 def weighted_degrees(f: SparsePolynomial, weight: Sequence) -> tuple[list[Fraction], Fraction]:

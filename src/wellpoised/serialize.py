@@ -6,7 +6,8 @@ are: tuples, ints and ``Fraction``s.  The writer prints integers and
 integral rationals as bare JSON numbers and other rationals as "p/q"
 strings, so nothing is ever rounded.  The text is byte for byte that of
 ``json.dumps(doc, indent=2)``, written by a writer that handles only the
-value types documents hold.
+value types documents hold.  A tuple the document holds more than once is
+rendered once per call and re-indented wherever it recurs at another depth.
 """
 
 from __future__ import annotations
@@ -27,14 +28,18 @@ def dumps(doc: dict) -> str:
     "numerator/denominator" (sign on the numerator).  Anything else, float
     included, raises TypeError.
     The writer appends pieces to one list and joins the text once.  A tuple
-    is rendered once per call and depth, found by identity (the document
-    keeps it alive), and its text, the join of its own pieces, is reused: a
-    cone list hands over the same lineality rows and rays in every cone.
-    Equal tuples such as (1, 1) and (1, True) stay apart.
+    is rendered once per call, found by identity (the document keeps it
+    alive), and its text, the join of its own pieces, is reused: a cone list
+    hands over the same lineality rows and rays in every cone, and a census
+    document holds one census tuple at two depths.  Met again at another
+    depth, the text is re-indented by replacing each newline and the pad it
+    was written at with a newline and the new pad: every line of a rendered
+    array starts with at least its pad, and strings never hold a raw
+    newline.  Equal tuples such as (1, 1) and (1, True) stay apart.
     """
     pieces: list[str] = []
     emit = pieces.append
-    memo: dict[tuple[int, str], str] = {}
+    memo: dict[int, tuple[str, str]] = {}
 
     def write(value, pad: str) -> None:
         t = type(value)
@@ -52,15 +57,18 @@ def dumps(doc: dict) -> str:
         elif value is False:
             emit("false")
         elif t is tuple:
-            key = (id(value), pad)
-            text = memo.get(key)
-            if text is None:
+            hit = memo.get(id(value))
+            if hit is None:
                 start = len(pieces)
                 text = write_array(value, pad)
                 if text is None:
                     text = "".join(pieces[start:])
                     del pieces[start:]
-                memo[key] = text
+                memo[id(value)] = pad, text
+            else:
+                at, text = hit
+                if at != pad:
+                    text = text.replace("\n" + at, "\n" + pad)
             emit(text)
         elif t is list:
             text = write_array(value, pad)

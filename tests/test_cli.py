@@ -519,6 +519,31 @@ def test_every_argument_list_keeps_the_error_contract(argv):
     assert isinstance(doc["error"]["message"], str)
 
 
+def parsed(parse, argv):
+    """vars() of the Namespace that parse makes of argv, or its UsageError message."""
+    try:
+        return vars(parse(list(argv)))
+    except cli.UsageError as exc:
+        return str(exc)
+
+
+FULL_PARSER = cli.build_parser()
+
+
+# run reads a command's arguments with that command's parser alone; the full
+# parser is the reference.
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(argument_lists())
+@example([])
+@example(["frobnicate"])
+@example(["check"])
+@example(["trop", "x+y", "--vars", "x,y", "--classify", "-1,0"])
+@example(["check", "--", "x"])
+@example(["check", "x+y", "--vars", "x,y", "extra"])
+def test_the_command_parser_reads_argv_as_the_full_parser_does(argv):
+    assert parsed(cli._parse, argv) == parsed(FULL_PARSER.parse_args, argv)
+
+
 def test_module_entry_point_subprocess():
     result = subprocess.run(
         [sys.executable, "-m", "wellpoised.cli", "check", "x^2+y^3+z^5", "--vars", "x,y,z"],

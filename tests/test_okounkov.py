@@ -35,6 +35,7 @@ from wellpoised import (
     variable_valuations,
 )
 from wellpoised import linalg, okounkov
+from wellpoised.geometry import canonical_point
 from oracles import (
     minimal_generators_by_closure,
     nonnegative_solutions_by_box,
@@ -668,4 +669,22 @@ STRINGS_FOR_VECTORS = {
 def test_a_string_is_not_read_as_a_vector(name):
     call, error = STRINGS_FOR_VECTORS[name]
     with pytest.raises(error):  # and neither a value nor a TypeError
+        call()
+
+
+# Each call passes an entry that is neither a number nor a numeric string;
+# the error names it, where Fraction() would raise TypeError.
+NON_NUMBER_ENTRIES = {
+    "cone": (lambda: cone(F, [None, 2]), PreconditionError, "None"),
+    "Term": (lambda: Term(1, [None]), ValueError, "None"),
+    "classify_weight": (lambda: classify_weight(F, [None] * 4), PreconditionError, "None"),
+    "nok_body-subset": (lambda: nok_body(F, (2, 1, 1, 1), [[2], 3]), PreconditionError, r"\[2\]"),
+    "canonical_point": (lambda: canonical_point([None]), ValueError, "None"),
+}
+
+
+@pytest.mark.parametrize("name", list(NON_NUMBER_ENTRIES))
+def test_a_non_number_entry_raises_value_error(name):
+    call, error, shown = NON_NUMBER_ENTRIES[name]
+    with pytest.raises(error, match=f"{shown} is not a number"):
         call()

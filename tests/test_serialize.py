@@ -101,6 +101,26 @@ def test_shared_tuple_holding_a_list_a_fraction_and_a_shared_tuple():
     assert serialize.dumps(doc) == oracle(doc)
 
 
+NESTED = (1, [2, (Fraction(1, 3), "a\nb")], Fraction(-5), ())
+CENSUS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+@pytest.mark.parametrize("t", [(1, -2), NESTED, (NESTED, [NESTED])], ids=["ints", "nested", "inside"])
+def test_one_tuple_is_reindented_deeper_and_shallower(t):
+    for doc in ({"a": {"b": {"c": t}}, "d": [t]}, {"d": [t], "a": {"b": {"c": t}}}, [t, [[t]], t]):
+        assert serialize.dumps(doc) == oracle(doc)
+
+
+def test_the_census_shape_is_the_oracle_text():
+    # the CLI hands one census tuple to lattice_points and to minkowski.census
+    doc = {
+        "n": 3,
+        "lattice_points": CENSUS,
+        "minkowski": {"trivial_only": True, "census": CENSUS, "non_vertex_points": ()},
+    }
+    assert serialize.dumps(doc) == oracle(doc)
+
+
 def test_equal_but_distinct_tuples_render_apart():
     rows = [(1, True), (1, 1), (1, Fraction(1)), (1, True), (1, 1)]
     assert len({id(row) for row in rows[:3]}) == 3
