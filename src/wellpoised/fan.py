@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -20,6 +19,7 @@ from typing import Iterable, Sequence
 from . import linalg
 from .polynomial import (
     PreconditionError,
+    _Frozen,
     SparsePolynomial,
     _term_subset,
     is_disjointly_supported,
@@ -51,8 +51,7 @@ def homogeneity_vector(f: SparsePolynomial) -> IntVector:
     return tuple(v)
 
 
-@dataclass(frozen=True)
-class LinealityBasis:
+class LinealityBasis(_Frozen):
     """Basis of the common homogeneity space of all cones.
 
     kernel_vectors holds, for each term with support s_1 < ... < s_k and
@@ -61,8 +60,11 @@ class LinealityBasis:
     vector for every variable that appears in no term.
     """
 
-    v_f: IntVector
-    kernel_vectors: tuple[IntVector, ...]
+    _fields = ("v_f", "kernel_vectors")
+
+    def __init__(self, v_f: IntVector, kernel_vectors: tuple[IntVector, ...]):
+        d = self.__dict__
+        d["v_f"], d["kernel_vectors"] = v_f, kernel_vectors
 
     @cached_property
     def rows(self) -> tuple[IntVector, ...]:
@@ -96,12 +98,14 @@ def lineality_basis(f: SparsePolynomial) -> LinealityBasis:
     return LinealityBasis(v_f, tuple(kernel))
 
 
-@dataclass(frozen=True)
-class RayGenerator:
+class RayGenerator(_Frozen):
     """Extremal ray attached to term i: entry -1 on its support, 0 elsewhere."""
 
-    i: int
-    w: IntVector
+    _fields = ("i", "w")
+
+    def __init__(self, i: int, w: IntVector):
+        d = self.__dict__
+        d["i"], d["w"] = i, w
 
 
 def ray_generator(f: SparsePolynomial, i: int) -> RayGenerator:
@@ -112,13 +116,16 @@ def ray_generator(f: SparsePolynomial, i: int) -> RayGenerator:
     return RayGenerator(i, tuple(w))
 
 
-@dataclass(frozen=True)
-class TropicalCone:
+class TropicalCone(_Frozen):
     """C_S in generator form: lineality basis plus one open ray per term not in S."""
 
-    S: tuple[int, ...]
-    lineality: LinealityBasis
-    rays: tuple[RayGenerator, ...]
+    _fields = ("S", "lineality", "rays")
+
+    def __init__(
+        self, S: tuple[int, ...], lineality: LinealityBasis, rays: tuple[RayGenerator, ...]
+    ):
+        d = self.__dict__
+        d["S"], d["lineality"], d["rays"] = S, lineality, rays
 
     @property
     def dim(self) -> int:
@@ -160,19 +167,27 @@ def tropical_variety(f: SparsePolynomial) -> list[TropicalCone]:
     return _cones(f, (s for size in sizes for s in itertools.combinations(terms, size)))
 
 
-@dataclass(frozen=True)
-class WeightDecomposition:
+class WeightDecomposition(_Frozen):
     """Exact certificate that a weight lies in the cone of its classified S.
 
     weight = sum(lineality_coefficients * basis rows)
            + sum(ray_coefficients * rays),   all ray coefficients > 0.
     """
 
-    S: tuple[int, ...]
-    lineality: LinealityBasis
-    lineality_coefficients: tuple[Fraction, ...]
-    rays: tuple[RayGenerator, ...]
-    ray_coefficients: tuple[Fraction, ...]
+    _fields = ("S", "lineality", "lineality_coefficients", "rays", "ray_coefficients")
+
+    def __init__(
+        self,
+        S: tuple[int, ...],
+        lineality: LinealityBasis,
+        lineality_coefficients: tuple[Fraction, ...],
+        rays: tuple[RayGenerator, ...],
+        ray_coefficients: tuple[Fraction, ...],
+    ):
+        d = self.__dict__
+        d["S"], d["lineality"], d["rays"] = S, lineality, rays
+        d["lineality_coefficients"] = lineality_coefficients
+        d["ray_coefficients"] = ray_coefficients
 
     def reconstruct(self) -> tuple[Fraction, ...]:
         n = len(self.lineality.v_f)

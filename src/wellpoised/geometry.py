@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import and_, mul
 from typing import Iterable, Sequence
@@ -28,6 +27,7 @@ from .polynomial import (
     Exponent,
     PreconditionError,
     SparsePolynomial,
+    _Frozen,
     graded_lex_key,
     is_disjointly_supported,
     is_well_poised,
@@ -41,7 +41,7 @@ def canonical_point(point: Sequence) -> Point:
     """Normalize entries to int when integral, Fraction otherwise.
 
     A bare string is refused: read as a point it would give one entry per
-    character.  An entry that is not a number raises ValueError.
+    character.  An entry that is not a finite number raises ValueError.
     """
     if isinstance(point, (str, bytes)):
         raise ValueError(f"expected a point, not the string {point!r}")
@@ -50,28 +50,35 @@ def canonical_point(point: Sequence) -> Point:
         if type(x) is not int:
             try:
                 f = Fraction(x)
-            except TypeError as exc:
+            except (TypeError, OverflowError) as exc:
                 raise ValueError(f"point entry {x!r} is not a number") from exc
             x = f.numerator if f.denominator == 1 else f
         out.append(x)
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class LatticePolytope:
+class LatticePolytope(_Frozen):
     """Minimal V-representation, no vertex in the hull of the others, and the
     H-representation of the same polytope.
 
     ``equations`` and ``facets`` hold integer rows (a, b) with a . x + b = 0
     on the affine hull and a . x + b >= 0 on the polytope, one per facet.
-    Equality and hashing read only ``n`` and ``vertices``.  ``from_points``
-    is the one constructor: it finds both representations in one pass.
+    Equality, hashing and repr read only ``n`` and ``vertices``.
+    ``from_points`` is the one constructor: it finds both representations in
+    one pass.
     """
 
-    n: int
-    vertices: tuple[Point, ...]
-    equations: tuple[Row, ...] = field(compare=False, repr=False)
-    facets: tuple[Row, ...] = field(compare=False, repr=False)
+    _fields = ("n", "vertices")
+
+    def __init__(
+        self,
+        n: int,
+        vertices: tuple[Point, ...],
+        equations: tuple[Row, ...],
+        facets: tuple[Row, ...],
+    ):
+        d = self.__dict__
+        d["n"], d["vertices"], d["equations"], d["facets"] = n, vertices, equations, facets
 
     @classmethod
     def from_points(cls, points: Iterable[Sequence]) -> "LatticePolytope":
@@ -135,12 +142,14 @@ def lattice_points(p: LatticePolytope) -> list[Exponent]:
     )
 
 
-@dataclass(frozen=True)
-class FaceDescriptor:
+class FaceDescriptor(_Frozen):
     """A face of the Newton polytope, as the 1-based term subset it carries."""
 
-    term_indices: tuple[int, ...]
-    supporting_weight: tuple[int, ...]
+    _fields = ("term_indices", "supporting_weight")
+
+    def __init__(self, term_indices: tuple[int, ...], supporting_weight: tuple[int, ...]):
+        d = self.__dict__
+        d["term_indices"], d["supporting_weight"] = term_indices, supporting_weight
 
 
 def faces(f: SparsePolynomial) -> list[FaceDescriptor]:
@@ -163,8 +172,7 @@ def faces(f: SparsePolynomial) -> list[FaceDescriptor]:
     return [FaceDescriptor(c.S, tuple(map(sum, zip(zero, *(r.w for r in c.rays))))) for c in cones]
 
 
-@dataclass(frozen=True)
-class MinkowskiReport:
+class MinkowskiReport(_Frozen):
     """Lattice-point census certifying (or refuting) decomposition triviality.
 
     A simplex whose only lattice points are its vertices splits only as
@@ -172,9 +180,14 @@ class MinkowskiReport:
     to the contrary.
     """
 
-    trivial_only: bool
-    census: tuple[Point, ...]
-    non_vertex_points: tuple[Point, ...]
+    _fields = ("trivial_only", "census", "non_vertex_points")
+
+    def __init__(
+        self, trivial_only: bool, census: tuple[Point, ...], non_vertex_points: tuple[Point, ...]
+    ):
+        d = self.__dict__
+        d["trivial_only"], d["census"] = trivial_only, census
+        d["non_vertex_points"] = non_vertex_points
 
 
 def minkowski_decomposition_witness(p: LatticePolytope) -> MinkowskiReport:

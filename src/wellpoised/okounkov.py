@@ -12,7 +12,6 @@ the polygon projections used to reproduce planar bodies exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -30,6 +29,7 @@ from .polynomial import (
     PreconditionError,
     SparsePolynomial,
     _exact_ints,
+    _Frozen,
     _term_subset,
     graded_lex_key,
 )
@@ -40,16 +40,18 @@ Point = tuple
 Constraint = tuple[Sequence, int]
 
 
-@dataclass(frozen=True)
-class ValuationMatrix:
+class ValuationMatrix(_Frozen):
     """(n-1) x n integer matrix of full rational rank, rows in fixed order:
     homogeneity vector, kernel vectors, then rays of the complement of S.
     Modulo the kernel vectors, v_f reads lcm(degrees) on every term and ray i
     reads -deg_i on term i alone; v_f is nonzero on both terms of S, where
     every ray is zero, so the rank is always n - 1."""
 
-    S: tuple[int, int]
-    rows: tuple[tuple[int, ...], ...]
+    _fields = ("S", "rows")
+
+    def __init__(self, S: tuple[int, int], rows: tuple[tuple[int, ...], ...]):
+        d = self.__dict__
+        d["S"], d["rows"] = S, rows
 
     @property
     def n(self) -> int:
@@ -114,13 +116,15 @@ def minimal_semigroup_generators(vectors: Iterable[Sequence]) -> tuple[Point, ..
     return tuple(kept)
 
 
-@dataclass(frozen=True)
-class GradingImage:
+class GradingImage(_Frozen):
     """Degrees of the variables under a grading matrix, plus the minimal
     generating set of the semigroup those degrees generate."""
 
-    degrees: tuple[Point, ...]
-    minimal_generators: tuple[Point, ...]
+    _fields = ("degrees", "minimal_generators")
+
+    def __init__(self, degrees: tuple[Point, ...], minimal_generators: tuple[Point, ...]):
+        d = self.__dict__
+        d["degrees"], d["minimal_generators"] = degrees, minimal_generators
 
 
 def grading_image(
@@ -136,20 +140,19 @@ def grading_image(
     return GradingImage(degrees, minimal_semigroup_generators(degrees))
 
 
-@dataclass(frozen=True)
-class Grading:
+class Grading(_Frozen):
     """Strictly positive integer degrees making every term of f weigh the same."""
 
-    entries: tuple[int, ...]
+    _fields = ("entries",)
 
-    def __post_init__(self):
+    def __init__(self, entries: Sequence[int]):
         try:
-            entries = _exact_ints(self.entries)
+            entries = _exact_ints(entries)
         except ValueError:  # a value that int() would truncate
             entries = ()
         if not entries or any(e <= 0 for e in entries):
             raise PreconditionError("grading entries must be positive integers")
-        object.__setattr__(self, "entries", entries)
+        self.__dict__["entries"] = entries
 
     def __getitem__(self, j: int) -> int:
         return self.entries[j]
@@ -165,8 +168,7 @@ def _check_grading(f: SparsePolynomial, grading) -> Grading:
     return d
 
 
-@dataclass(frozen=True)
-class OkounkovBody:
+class OkounkovBody(_Frozen):
     """A convex body given by its defining points and exact hull data.
 
     vertices is the minimal V-representation.  For planar bodies, boundary is
@@ -175,10 +177,17 @@ class OkounkovBody:
     the exact shoelace area; both are None in higher ambient dimension.
     """
 
-    points: tuple[Point, ...]
-    vertices: tuple[Point, ...]
-    boundary: Optional[tuple[Point, ...]]
-    area: Optional[Fraction]
+    _fields = ("points", "vertices", "boundary", "area")
+
+    def __init__(
+        self,
+        points: tuple[Point, ...],
+        vertices: tuple[Point, ...],
+        boundary: Optional[tuple[Point, ...]],
+        area: Optional[Fraction],
+    ):
+        d = self.__dict__
+        d["points"], d["vertices"], d["boundary"], d["area"] = points, vertices, boundary, area
 
 
 def _make_body(points: Sequence[Sequence]) -> OkounkovBody:

@@ -7,13 +7,21 @@ product with the weight w.  Whether every non-monomial initial form of f is
 irreducible is decided purely combinatorially: f qualifies exactly when its
 terms have pairwise disjoint supports and every pair of exponent vectors has
 joint gcd 1.  No factoring over any field is ever attempted.
+
+The value types of every layer derive from ``_Frozen``, defined here because
+every other layer imports this one.  A subclass names its fields in
+``_fields``, and its ``__init__`` checks its arguments and writes each field
+once into the instance dict.  ``==``, ``hash`` and ``repr`` read the named
+fields in order; ``==`` between instances of two classes is NotImplemented.
+Assigning or deleting an attribute raises AttributeError.  There are no
+``__slots__``, so a ``functools.cached_property`` can keep its value in the
+instance dict.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul, neg
 from typing import Iterable, Optional, Sequence, Union
@@ -28,6 +36,33 @@ class ParseError(ValueError):
 
 class PreconditionError(ValueError):
     """An operation was invoked outside its contract."""
+
+
+class _Frozen:
+    """Immutable record compared, hashed and shown by the fields it names."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def graded_lex_key(vector: Sequence) -> tuple:
@@ -48,13 +83,23 @@ def total_degree(exponent: Sequence[int]) -> int:
     return sum(exponent)
 
 
+def _fraction(value) -> Fraction:
+    """Fraction(value), with ValueError naming a value that is not a finite
+    number, such as None or inf, where Fraction() raises TypeError or
+    OverflowError."""
+    try:
+        return Fraction(value)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"{value!r} is not a number") from exc
+
+
 def _exact_ints(values: Iterable) -> tuple[int, ...]:
     """The values as a tuple of ints; a tuple of ints comes back as it is.
 
-    Raises ValueError for a value that is not a number, such as None, or
-    not exactly an integer, such as 5/2 or 2.9, which int() would truncate,
-    and for a bare string, which would otherwise be read one character at a
-    time.
+    Raises ValueError for a value that is not a finite number, such as None
+    or inf, or not exactly an integer, such as 5/2 or 2.9, which int() would
+    truncate, and for a bare string, which would otherwise be read one
+    character at a time.
     """
     if type(values) is tuple and all(type(v) is int for v in values):
         return values
@@ -62,10 +107,7 @@ def _exact_ints(values: Iterable) -> tuple[int, ...]:
         raise ValueError(f"expected a vector of integers, not the string {values!r}")
     ints = []
     for v in values:
-        try:
-            q = Fraction(v)
-        except TypeError as exc:
-            raise ValueError(f"{v!r} is not a number") from exc
+        q = _fraction(v)
         if q.denominator != 1:
             raise ValueError(f"{v!r} is not an integer")
         ints.append(q.numerator)
@@ -79,46 +121,47 @@ def exponent_gcd(a: Sequence[int], b: Sequence[int]) -> int:
     return math.gcd(*_exact_ints(a), *_exact_ints(b))
 
 
-@dataclass(frozen=True)
-class Term:
-    coefficient: Fraction
-    exponent: Exponent
+class Term(_Frozen):
+    """A nonzero rational coefficient times the monomial with this exponent."""
 
-    def __post_init__(self):
-        if type(self.coefficient) is not Fraction:
-            object.__setattr__(self, "coefficient", Fraction(self.coefficient))
-        object.__setattr__(self, "exponent", _exact_ints(self.exponent))
-        if self.coefficient == 0:
+    _fields = ("coefficient", "exponent")
+
+    def __init__(self, coefficient: Union[int, Fraction, str], exponent: Sequence[int]):
+        if type(coefficient) is not Fraction:
+            coefficient = _fraction(coefficient)
+        exponent = _exact_ints(exponent)
+        if coefficient == 0:
             raise ValueError("term coefficient must be nonzero")
-        if any(e < 0 for e in self.exponent):
+        if any(e < 0 for e in exponent):
             raise ValueError("exponents must be non-negative")
+        d = self.__dict__
+        d["coefficient"], d["exponent"] = coefficient, exponent
 
     @property
     def support(self) -> tuple[int, ...]:
         return support(self.exponent)
 
 
-@dataclass(frozen=True)
-class SparsePolynomial:
+class SparsePolynomial(_Frozen):
     """Immutable merged term list in a fixed ambient variable order."""
 
-    n: int
-    terms: tuple[Term, ...]
-    variables: tuple[str, ...]
+    _fields = ("n", "terms", "variables")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, terms: tuple[Term, ...], variables: tuple[str, ...]):
+        if n < 1:
             raise ValueError("ambient variable count must be positive")
-        if len(self.variables) != self.n or len(set(self.variables)) != self.n:
+        if len(variables) != n or len(set(variables)) != n:
             raise ValueError("need n distinct variable names")
-        if not self.terms:
+        if not terms:
             raise ValueError("polynomial must have at least one term")
-        exps = [t.exponent for t in self.terms]
-        if any(len(e) != self.n for e in exps):
+        exps = [t.exponent for t in terms]
+        if any(len(e) != n for e in exps):
             raise ValueError("exponent length differs from ambient dimension")
         keys = [graded_lex_key(e) for e in exps]
         if sorted(set(keys)) != keys:
             raise ValueError("terms must be distinct and canonically ordered")
+        d = self.__dict__
+        d["n"], d["terms"], d["variables"] = n, terms, variables
 
     @classmethod
     def from_terms(
@@ -136,7 +179,7 @@ class SparsePolynomial:
         for coeff, exp in terms:
             e = _exact_ints(exp)
             if type(coeff) is not int and type(coeff) is not Fraction:
-                coeff = Fraction(coeff)
+                coeff = _fraction(coeff)
             merged[e] = merged.get(e, 0) + coeff
         merged = {e: c for e, c in merged.items() if c != 0}
         if not merged:
@@ -275,7 +318,7 @@ def weight_vector(values: Sequence, n: int) -> Weight:
     for v in values:
         try:
             w.append(Fraction(v))
-        except TypeError as exc:
+        except (TypeError, OverflowError) as exc:
             raise PreconditionError(f"weight entry {v!r} is not a number") from exc
     if len(w) != n:
         raise PreconditionError(f"weight has length {len(w)}, expected {n}")
@@ -326,30 +369,37 @@ def is_irreducible_binomial(t1: Term, t2: Term) -> bool:
     return exponent_gcd(t1.exponent, t2.exponent) == 1
 
 
-@dataclass(frozen=True)
-class SharedVariableWitness:
+class SharedVariableWitness(_Frozen):
     """A variable index occurring in the supports of both named terms (1-based)."""
 
-    variable: int
-    terms: tuple[int, int]
+    _fields = ("variable", "terms")
+
+    def __init__(self, variable: int, terms: tuple[int, int]):
+        d = self.__dict__
+        d["variable"], d["terms"] = variable, terms
 
 
-@dataclass(frozen=True)
-class CommonFactorWitness:
+class CommonFactorWitness(_Frozen):
     """A term pair (1-based) whose joint exponent gcd exceeds 1."""
 
-    terms: tuple[int, int]
-    gcd: int
+    _fields = ("terms", "gcd")
+
+    def __init__(self, terms: tuple[int, int], gcd: int):
+        d = self.__dict__
+        d["terms"], d["gcd"] = terms, gcd
 
 
 Witness = Union[SharedVariableWitness, CommonFactorWitness]
 
 
-@dataclass(frozen=True)
-class WellPoisedReport:
-    well_poised: bool
-    monomial: bool
-    witness: Optional[Witness]
+class WellPoisedReport(_Frozen):
+    """The classification of f, with the first offending pair when it fails."""
+
+    _fields = ("well_poised", "monomial", "witness")
+
+    def __init__(self, well_poised: bool, monomial: bool, witness: Optional[Witness]):
+        d = self.__dict__
+        d["well_poised"], d["monomial"], d["witness"] = well_poised, monomial, witness
 
 
 def is_well_poised(f: SparsePolynomial) -> WellPoisedReport:

@@ -672,14 +672,25 @@ def test_a_string_is_not_read_as_a_vector(name):
         call()
 
 
-# Each call passes an entry that is neither a number nor a numeric string;
-# the error names it, where Fraction() would raise TypeError.
+INF = float("inf")
+
+# Each call passes an entry that is neither a finite number nor a numeric
+# string; the error names it, where Fraction() would raise TypeError, or
+# OverflowError for an infinity.
 NON_NUMBER_ENTRIES = {
     "cone": (lambda: cone(F, [None, 2]), PreconditionError, "None"),
     "Term": (lambda: Term(1, [None]), ValueError, "None"),
     "classify_weight": (lambda: classify_weight(F, [None] * 4), PreconditionError, "None"),
     "nok_body-subset": (lambda: nok_body(F, (2, 1, 1, 1), [[2], 3]), PreconditionError, r"\[2\]"),
     "canonical_point": (lambda: canonical_point([None]), ValueError, "None"),
+    "Term-coefficient": (lambda: Term(None, [1]), ValueError, "None"),
+    "from_terms": (lambda: SparsePolynomial.from_terms([(None, [1])]), ValueError, "None"),
+    "Term-inf": (lambda: Term(1, [INF]), ValueError, "inf"),
+    "Term-coefficient-inf": (lambda: Term(INF, [1]), ValueError, "inf"),
+    "from_terms-inf": (lambda: SparsePolynomial.from_terms([(-INF, [1])]), ValueError, "-inf"),
+    "classify_weight-inf": (lambda: classify_weight(F, [INF, 0, 0, 0]), PreconditionError, "inf"),
+    "cone-inf": (lambda: cone(F, [INF, 2]), PreconditionError, "inf"),
+    "canonical_point-inf": (lambda: canonical_point([INF]), ValueError, "inf"),
 }
 
 
@@ -688,3 +699,8 @@ def test_a_non_number_entry_raises_value_error(name):
     call, error, shown = NON_NUMBER_ENTRIES[name]
     with pytest.raises(error, match=f"{shown} is not a number"):
         call()
+
+
+def test_an_infinite_grading_entry_raises_precondition_error():
+    with pytest.raises(PreconditionError, match="grading entries must be positive integers"):
+        okounkov.Grading([INF, 1])

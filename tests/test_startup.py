@@ -1,5 +1,6 @@
 """Start-up: the package surface resolves lazily, and each command loads only its layers."""
 
+import functools
 import json
 import os
 import subprocess
@@ -34,16 +35,22 @@ PUBLIC_NAMES = [
 ]
 
 # Runs one command the way ``python -m wellpoised.cli`` does, then writes the
-# sorted wellpoised modules it loaded to stderr as one JSON line.  runpy runs
-# the command module as __main__, so ``wellpoised.cli`` itself is not among them.
+# sorted modules it loaded to stderr as one JSON line.  runpy runs the command
+# module as __main__, so ``wellpoised.cli`` itself is not among them.
 FOOTPRINT = """
 import json, runpy, sys
 try:
     runpy.run_module("wellpoised.cli", run_name="__main__")
 except SystemExit as exc:
     assert not exc.code, exc.code
-sys.stderr.write(json.dumps(sorted(m for m in sys.modules if m.startswith("wellpoised"))))
+sys.stderr.write(json.dumps(sorted(sys.modules)))
 """
+
+# What an interpreter that runs nothing has loaded, written the same way.
+BARE = "import json, sys; sys.stderr.write(json.dumps(sorted(sys.modules)))"
+
+# Standard modules that cost start-up time and that no command needs.
+HEAVY = {"dataclasses", "inspect"}
 
 
 def fresh_python(*args: str) -> subprocess.CompletedProcess:
@@ -71,12 +78,30 @@ COMMANDS = [
 ]
 
 
+@functools.cache
+def footprint(*argv: str) -> tuple[str, frozenset[str]]:
+    """The stdout of one command in a fresh interpreter, and the modules it loaded."""
+    child = fresh_python("-c", FOOTPRINT, *argv)
+    return child.stdout, frozenset(json.loads(child.stderr))
+
+
+@functools.cache
+def bare_modules() -> frozenset[str]:
+    return frozenset(json.loads(fresh_python("-c", BARE).stderr))
+
+
 @pytest.mark.parametrize("argv, loaded", COMMANDS, ids=[argv[0] for argv, _ in COMMANDS])
 def test_each_command_loads_only_its_layers(capsys, argv, loaded):
-    child = fresh_python("-c", FOOTPRINT, *argv)
-    assert set(json.loads(child.stderr)) == loaded
+    stdout, modules = footprint(*argv)
+    assert {m for m in modules if m.startswith("wellpoised")} == loaded
     assert cli.run(argv) == 0
-    assert child.stdout == capsys.readouterr().out
+    assert stdout == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in COMMANDS], ids=[a[0] for a, _ in COMMANDS])
+def test_no_command_loads_dataclasses_or_inspect(argv):
+    # a site hook may load them before any command runs; only what the command adds counts
+    assert HEAVY & footprint(*argv)[1] <= bare_modules()
 
 
 def test_bare_import_loads_no_layer_and_lists_and_binds_each_on_use():
