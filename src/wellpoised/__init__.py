@@ -18,14 +18,15 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "fan": (
-        "LinealityBasis", "RayGenerator", "TropicalCone", "WeightDecomposition",
-        "classify_weight", "cone", "decompose_weight", "homogeneity_vector",
-        "in_tropical_variety", "lineality_basis", "ray_generator", "tropical_variety",
+        "FaceDescriptor", "LinealityBasis", "RayGenerator", "TropicalCone",
+        "WeightDecomposition", "classify_weight", "cone", "decompose_weight", "faces",
+        "homogeneity_vector", "in_tropical_variety", "lineality_basis", "ray_generator",
+        "tropical_variety",
     ),
     "geometry": (
-        "FaceDescriptor", "LatticePolytope", "MinkowskiReport", "convex_hull_2d",
-        "extreme_points", "faces", "in_convex_hull", "is_simplex", "lattice_points",
-        "minkowski_decomposition_witness", "newton_polytope", "shoelace_area",
+        "LatticePolytope", "MinkowskiReport", "convex_hull_2d", "extreme_points",
+        "in_convex_hull", "is_simplex", "lattice_points", "minkowski_decomposition_witness",
+        "newton_polytope", "shoelace_area",
     ),
     "okounkov": (
         "Grading", "GradingImage", "OkounkovBody", "ValuationMatrix",

@@ -160,7 +160,7 @@ def _cmd_polytope(args) -> dict:
 
 
 def _cmd_faces(args) -> dict:
-    from . import geometry
+    from . import fan
 
     f = _polynomial(args)
     return {"faces": [
@@ -169,7 +169,7 @@ def _cmd_faces(args) -> dict:
             "weight": face.supporting_weight,
             "initial_form": to_string(initial_form(f, face.supporting_weight)),
         }
-        for face in geometry.faces(f)
+        for face in fan.faces(f)
     ]}
 
 

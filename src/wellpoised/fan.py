@@ -5,7 +5,8 @@ Every weight space decomposes into cones C_S = L + sum of open rays, where L
 is the common homogeneity (lineality) space and the ray for term i is -1 on
 that term's support.  A weight lands in C_S exactly when S is the set of
 terms maximizing its inner products, and C_S belongs to the tropical variety
-when |S| >= 2 (the initial form is not a monomial).
+when |S| >= 2 (the initial form is not a monomial).  Every nonempty S is also
+a face of the Newton polytope, supported by the sum of the rays of C_S.
 """
 
 from __future__ import annotations
@@ -20,9 +21,11 @@ from . import linalg
 from .polynomial import (
     PreconditionError,
     _Frozen,
+    SharedVariableWitness,
     SparsePolynomial,
     _term_subset,
     is_disjointly_supported,
+    is_well_poised,
     total_degree,
     weight_vector,
     weighted_degrees,
@@ -165,6 +168,37 @@ def tropical_variety(f: SparsePolynomial) -> list[TropicalCone]:
     """
     terms, sizes = range(1, f.k + 1), range(2, f.k + 1)
     return _cones(f, (s for size in sizes for s in itertools.combinations(terms, size)))
+
+
+class FaceDescriptor(_Frozen):
+    """A face of the Newton polytope, as the 1-based term subset it carries."""
+
+    _fields = ("term_indices", "supporting_weight")
+
+    def __init__(self, term_indices: tuple[int, ...], supporting_weight: tuple[int, ...]):
+        d = self.__dict__
+        d["term_indices"], d["supporting_weight"] = term_indices, supporting_weight
+
+
+def faces(f: SparsePolynomial) -> list[FaceDescriptor]:
+    """One descriptor per nonempty term subset S, 2^K - 1 in total.
+
+    The supporting weight is the sum of the rays of the cone C_S: entry -1 on
+    each variable supporting a term outside S, and 0 elsewhere.  Only the
+    empty-simplex case (f well-poised: disjoint supports, pairwise gcd 1) is
+    supported, and, as in the rest of the fan, no constant term: its ray
+    would be zero.
+    """
+    witness = is_well_poised(f).witness
+    if isinstance(witness, SharedVariableWitness):
+        raise PreconditionError("faces requires disjointly supported terms")
+    if witness is not None:
+        i, j = witness.terms
+        raise PreconditionError(f"faces requires pairwise exponent gcd 1; terms {i},{j} violate it")
+    terms = range(1, f.k + 1)
+    cones = _cones(f, (s for size in terms for s in itertools.combinations(terms, size)))
+    zero = (0,) * f.n
+    return [FaceDescriptor(c.S, tuple(map(sum, zip(zero, *(r.w for r in c.rays))))) for c in cones]
 
 
 class WeightDecomposition(_Frozen):

@@ -9,52 +9,31 @@ pin down.  Membership, ``in_convex_hull``, the simplex test and lattice
 enumeration then read the facets: no floating point and no linear program.
 Lattice enumeration solves the affine-hull equations for their free
 coordinates inside the bounding box, with the integer-point kernel of
-``linalg``, and the facets keep the points of the polytope.
+``linalg``, and the facets keep the points of the polytope.  Points are read
+by ``polynomial.canonical_point``; the faces of a Newton polytope, which the
+cones of the tropical fan give, are built in ``fan``.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from fractions import Fraction
 from operator import and_, mul
 from typing import Iterable, Sequence
 
 from . import linalg
-from .fan import _cones
 from .polynomial import (
     Exponent,
     PreconditionError,
     SparsePolynomial,
     _Frozen,
+    canonical_point,
     graded_lex_key,
-    is_disjointly_supported,
-    is_well_poised,
 )
 
 Point = tuple
 Row = tuple[int, ...]
-
-
-def canonical_point(point: Sequence) -> Point:
-    """Normalize entries to int when integral, Fraction otherwise.
-
-    A bare string is refused: read as a point it would give one entry per
-    character.  An entry that is not a finite number raises ValueError.
-    """
-    if isinstance(point, (str, bytes)):
-        raise ValueError(f"expected a point, not the string {point!r}")
-    out = []
-    for x in point:
-        if type(x) is not int:
-            try:
-                f = Fraction(x)
-            except (TypeError, OverflowError) as exc:
-                raise ValueError(f"point entry {x!r} is not a number") from exc
-            x = f.numerator if f.denominator == 1 else f
-        out.append(x)
-    return tuple(out)
 
 
 class LatticePolytope(_Frozen):
@@ -140,36 +119,6 @@ def lattice_points(p: LatticePolytope) -> list[Exponent]:
         (pt for pt in points if all(sum(map(mul, f, pt)) + f[-1] >= 0 for f in facets)),
         key=graded_lex_key,
     )
-
-
-class FaceDescriptor(_Frozen):
-    """A face of the Newton polytope, as the 1-based term subset it carries."""
-
-    _fields = ("term_indices", "supporting_weight")
-
-    def __init__(self, term_indices: tuple[int, ...], supporting_weight: tuple[int, ...]):
-        d = self.__dict__
-        d["term_indices"], d["supporting_weight"] = term_indices, supporting_weight
-
-
-def faces(f: SparsePolynomial) -> list[FaceDescriptor]:
-    """One descriptor per nonempty term subset S, 2^K - 1 in total.
-
-    The supporting weight is the sum of the rays of the fan's cone C_S: entry
-    -1 on each variable supporting a term outside S, and 0 elsewhere.  Only
-    the empty-simplex case (disjoint supports, pairwise gcd 1) is supported,
-    and, as in the fan, no constant term: its ray would be zero.
-    """
-    if not is_disjointly_supported(f):
-        raise PreconditionError("faces requires disjointly supported terms")
-    witness = is_well_poised(f).witness
-    if witness is not None:
-        i, j = witness.terms
-        raise PreconditionError(f"faces requires pairwise exponent gcd 1; terms {i},{j} violate it")
-    terms = range(1, f.k + 1)
-    cones = _cones(f, (s for size in terms for s in itertools.combinations(terms, size)))
-    zero = (0,) * f.n
-    return [FaceDescriptor(c.S, tuple(map(sum, zip(zero, *(r.w for r in c.rays))))) for c in cones]
 
 
 class MinkowskiReport(_Frozen):

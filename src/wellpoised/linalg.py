@@ -237,8 +237,5 @@ def integer_points(rows, rhs, bounds) -> Iterator[tuple[int, ...]]:
 
 def primitive_integer(vec: Sequence[int]) -> tuple[int, ...]:
     """Divide an integer vector by the gcd of its entries (no-op on zero)."""
-    ints = [int(x) for x in vec]
-    g = math.gcd(*ints)
-    if g > 1:
-        return tuple(x // g for x in ints)
-    return tuple(ints)
+    g = math.gcd(*vec)
+    return tuple(x // g for x in vec) if g > 1 else tuple(vec)

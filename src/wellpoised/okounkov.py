@@ -18,12 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import linalg
 from .fan import cone, lineality_basis
-from .geometry import (
-    canonical_point,
-    convex_hull_2d,
-    extreme_points,
-    shoelace_area,
-)
+from .geometry import convex_hull_2d, extreme_points, shoelace_area
 from .polynomial import (
     Exponent,
     PreconditionError,
@@ -31,6 +26,7 @@ from .polynomial import (
     _exact_ints,
     _Frozen,
     _term_subset,
+    canonical_point,
     graded_lex_key,
 )
 
@@ -235,7 +231,7 @@ def _split_constraints(constraints: Sequence[Constraint], n: int) -> tuple[list,
     rows = [canonical_point(row) for row, _ in constraints]
     if any(len(row) != n for row in rows):
         raise PreconditionError("constraint row length differs from dimension")
-    return rows, [t for _, t in constraints]
+    return rows, canonical_point([t for _, t in constraints])
 
 
 def _nonnegative_polyhedron(constraints: Sequence[Constraint], n: int) -> tuple[list, list]:

@@ -8,6 +8,11 @@ irreducible is decided purely combinatorially: f qualifies exactly when its
 terms have pairwise disjoint supports and every pair of exponent vectors has
 joint gcd 1.  No factoring over any field is ever attempted.
 
+Every number or vector that a caller passes to a library operation is read
+here, by ``_fraction`` and ``canonical_point``: a finite number or numeric
+string is read exactly, and anything else, a bare string given for a vector
+included, raises ValueError naming it.
+
 The value types of every layer derive from ``_Frozen``, defined here because
 every other layer imports this one.  A subclass names its fields in
 ``_fields``, and its ``__init__`` checks its arguments and writes each field
@@ -27,7 +32,6 @@ from operator import mul, neg
 from typing import Iterable, Optional, Sequence, Union
 
 Exponent = tuple[int, ...]
-Weight = tuple[Fraction, ...]
 
 
 class ParseError(ValueError):
@@ -85,33 +89,45 @@ def total_degree(exponent: Sequence[int]) -> int:
 
 def _fraction(value) -> Fraction:
     """Fraction(value), with ValueError naming a value that is not a finite
-    number, such as None or inf, where Fraction() raises TypeError or
-    OverflowError."""
+    number, such as None, inf or "1/0", where Fraction() raises TypeError,
+    OverflowError or ZeroDivisionError."""
     try:
         return Fraction(value)
-    except (TypeError, OverflowError) as exc:
+    except (TypeError, OverflowError, ZeroDivisionError) as exc:
         raise ValueError(f"{value!r} is not a number") from exc
+
+
+def canonical_point(point: Iterable) -> tuple:
+    """The entries of a vector from a caller: int when integral, Fraction
+    otherwise.
+
+    A bare string is refused: read as a vector it would give one entry per
+    character.  An entry that is not a finite number raises ValueError.
+    """
+    if isinstance(point, (str, bytes)):
+        raise ValueError(f"expected a vector, not the string {point!r}")
+    out = []
+    for x in point:
+        if type(x) is not int:
+            q = _fraction(x)
+            x = q.numerator if q.denominator == 1 else q
+        out.append(x)
+    return tuple(out)
 
 
 def _exact_ints(values: Iterable) -> tuple[int, ...]:
     """The values as a tuple of ints; a tuple of ints comes back as it is.
 
-    Raises ValueError for a value that is not a finite number, such as None
-    or inf, or not exactly an integer, such as 5/2 or 2.9, which int() would
-    truncate, and for a bare string, which would otherwise be read one
-    character at a time.
+    Raises ValueError where ``canonical_point`` does, and for a value that is
+    not exactly an integer, such as 5/2 or 2.9, which int() would truncate.
     """
     if type(values) is tuple and all(type(v) is int for v in values):
         return values
-    if isinstance(values, (str, bytes)):
-        raise ValueError(f"expected a vector of integers, not the string {values!r}")
-    ints = []
-    for v in values:
-        q = _fraction(v)
-        if q.denominator != 1:
-            raise ValueError(f"{v!r} is not an integer")
-        ints.append(q.numerator)
-    return tuple(ints)
+    ints = canonical_point(values)
+    for x in ints:
+        if type(x) is not int:
+            raise ValueError(f"{x} is not an integer")
+    return ints
 
 
 def exponent_gcd(a: Sequence[int], b: Sequence[int]) -> int:
@@ -311,18 +327,14 @@ def to_string(f: SparsePolynomial) -> str:
     return " ".join(pieces)
 
 
-def weight_vector(values: Sequence, n: int) -> Weight:
-    if isinstance(values, (str, bytes)):
-        raise PreconditionError(f"a weight is a vector, not the string {values!r}")
-    w = []
-    for v in values:
-        try:
-            w.append(Fraction(v))
-        except (TypeError, OverflowError) as exc:
-            raise PreconditionError(f"weight entry {v!r} is not a number") from exc
+def weight_vector(values: Sequence, n: int) -> tuple:
+    try:
+        w = canonical_point(values)
+    except ValueError as exc:
+        raise PreconditionError(f"weight: {exc}") from exc
     if len(w) != n:
         raise PreconditionError(f"weight has length {len(w)}, expected {n}")
-    return tuple(w)
+    return w
 
 
 def weighted_degrees(f: SparsePolynomial, weight: Sequence) -> tuple[list[Fraction], Fraction]:
@@ -354,19 +366,6 @@ def is_disjointly_supported(f: SparsePolynomial) -> bool:
                 return False
             seen.add(j)
     return True
-
-
-def is_irreducible_binomial(t1: Term, t2: Term) -> bool:
-    """Combinatorial irreducibility test for a two-term polynomial.
-
-    Over an algebraically closed field the binomial is irreducible exactly
-    when the supports are disjoint and the joint exponent gcd is 1.
-    """
-    if t1.exponent == t2.exponent:
-        raise PreconditionError("binomial terms must have distinct exponents")
-    if set(t1.support) & set(t2.support):
-        return False
-    return exponent_gcd(t1.exponent, t2.exponent) == 1
 
 
 class SharedVariableWitness(_Frozen):
@@ -402,6 +401,28 @@ class WellPoisedReport(_Frozen):
         d["well_poised"], d["monomial"], d["witness"] = well_poised, monomial, witness
 
 
+def _pair_witness(a: Term, b: Term, terms: tuple[int, int]) -> Optional[Witness]:
+    """Why the pair of terms named by ``terms`` fails the criterion: a
+    variable both supports share, else a joint exponent gcd above 1; None
+    when it passes."""
+    shared = set(a.support) & set(b.support)
+    if shared:
+        return SharedVariableWitness(min(shared), terms)
+    g = exponent_gcd(a.exponent, b.exponent)
+    return CommonFactorWitness(terms, g) if g != 1 else None
+
+
+def is_irreducible_binomial(t1: Term, t2: Term) -> bool:
+    """Combinatorial irreducibility test for a two-term polynomial.
+
+    Over an algebraically closed field the binomial is irreducible exactly
+    when the supports are disjoint and the joint exponent gcd is 1.
+    """
+    if t1.exponent == t2.exponent:
+        raise PreconditionError("binomial terms must have distinct exponents")
+    return _pair_witness(t1, t2, (1, 2)) is None
+
+
 def is_well_poised(f: SparsePolynomial) -> WellPoisedReport:
     """Classify f; on failure the witness names the first offending pair.
 
@@ -410,13 +431,7 @@ def is_well_poised(f: SparsePolynomial) -> WellPoisedReport:
     monomial = f.k == 1
     for i in range(1, f.k + 1):
         for j in range(i + 1, f.k + 1):
-            a, b = f.term(i), f.term(j)
-            shared = sorted(set(a.support) & set(b.support))
-            if shared:
-                return WellPoisedReport(
-                    False, monomial, SharedVariableWitness(shared[0], (i, j))
-                )
-            g = exponent_gcd(a.exponent, b.exponent)
-            if g != 1:
-                return WellPoisedReport(False, monomial, CommonFactorWitness((i, j), g))
+            witness = _pair_witness(f.term(i), f.term(j), (i, j))
+            if witness is not None:
+                return WellPoisedReport(False, monomial, witness)
     return WellPoisedReport(True, monomial, None)

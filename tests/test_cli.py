@@ -92,7 +92,7 @@ def test_faces_matches_library(capsys):
             "weight": d.supporting_weight,
             "initial_form": to_string(initial_form(f, d.supporting_weight)),
         }
-        for d in geometry.faces(f)
+        for d in fan.faces(f)
     ]
     assert_document(out, {"faces": expected})
 

@@ -416,6 +416,9 @@ def test_nonnegative_solution_exists():
 def test_primitive_integer():
     assert linalg.primitive_integer([4, -6, 2]) == (2, -3, 1)
     assert linalg.primitive_integer([0, 0]) == (0, 0)
+    # an entry that is not an int raises instead of being truncated to (1, 3)
+    with pytest.raises(TypeError):
+        linalg.primitive_integer([1.5, 3])
 
 
 def box_scan(rows, rhs, bounds):

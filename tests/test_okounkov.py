@@ -35,7 +35,7 @@ from wellpoised import (
     variable_valuations,
 )
 from wellpoised import linalg, okounkov
-from wellpoised.geometry import canonical_point
+from wellpoised.polynomial import canonical_point
 from oracles import (
     minimal_generators_by_closure,
     nonnegative_solutions_by_box,
@@ -691,6 +691,25 @@ NON_NUMBER_ENTRIES = {
     "classify_weight-inf": (lambda: classify_weight(F, [INF, 0, 0, 0]), PreconditionError, "inf"),
     "cone-inf": (lambda: cone(F, [INF, 2]), PreconditionError, "inf"),
     "canonical_point-inf": (lambda: canonical_point([INF]), ValueError, "inf"),
+    # "1/0" is a numeric string whose Fraction() raises ZeroDivisionError
+    "Term-coefficient-zero-denominator": (lambda: Term("1/0", [1]), ValueError, "'1/0'"),
+    "Term-zero-denominator": (lambda: Term(1, ["1/0"]), ValueError, "'1/0'"),
+    "canonical_point-zero-denominator": (lambda: canonical_point(["1/0"]), ValueError, "'1/0'"),
+    "classify_weight-zero-denominator": (
+        lambda: classify_weight(F, ["1/0", 0, 0, 0]), PreconditionError, "'1/0'"
+    ),
+    "cone-zero-denominator": (lambda: cone(F, ["1/0", 2]), PreconditionError, "'1/0'"),
+    # the targets of the constraints are read like their rows
+    "graded_component-target": (lambda: graded_component([((1, 1), None)], 2), ValueError, "None"),
+    "graded_component-target-inf": (
+        lambda: graded_component([((1, 1), INF)], 2), ValueError, "inf"
+    ),
+    "equality_polytope_vertices-target": (
+        lambda: equality_polytope_vertices([((1, 1), None)], 2), ValueError, "None"
+    ),
+    "equality_polytope_vertices-target-zero-denominator": (
+        lambda: equality_polytope_vertices([((1, 1), "1/0")], 2), ValueError, "'1/0'"
+    ),
 }
 
 
@@ -704,3 +723,14 @@ def test_a_non_number_entry_raises_value_error(name):
 def test_an_infinite_grading_entry_raises_precondition_error():
     with pytest.raises(PreconditionError, match="grading entries must be positive integers"):
         okounkov.Grading([INF, 1])
+
+
+def test_a_zero_denominator_grading_entry_raises_precondition_error():
+    with pytest.raises(PreconditionError, match="grading entries must be positive integers"):
+        okounkov.Grading(["1/0", 1])
+
+
+def test_numeric_string_targets_are_read_like_numeric_string_rows():
+    assert graded_component([((1, 1), "2")], 2) == graded_component([(("1", 1), 2)], 2)
+    assert graded_component([((1, 1), "2")], 2) == [(2, 0), (1, 1), (0, 2)]
+    assert equality_polytope_vertices([((1, 1), "2")], 2) == [(2, 0), (0, 2)]

@@ -62,15 +62,15 @@ def fresh_python(*args: str) -> subprocess.CompletedProcess:
 
 CHECK = {"wellpoised", "wellpoised.polynomial", "wellpoised.serialize"}
 FAN = CHECK | {"wellpoised.fan", "wellpoised.linalg"}
-GEOMETRY = FAN | {"wellpoised.geometry"}
-OKOUNKOV = GEOMETRY | {"wellpoised.okounkov"}
+GEOMETRY = CHECK | {"wellpoised.geometry", "wellpoised.linalg"}
+OKOUNKOV = FAN | GEOMETRY | {"wellpoised.okounkov"}
 DEL_PEZZO = ["--eq-rows", "1,-1,0,-1,1;1,1,1,0,2", "--eq-targets", "0,6", "--dim", "5"]
 
 COMMANDS = [
     (["check", "x^2+y^3+z^5", "--vars", "x,y,z"], CHECK),
     (["trop", "x+y^2+z*w", "--vars", "x,y,z,w"], FAN),
     (["polytope", "x^2+y^3+z^5", "--vars", "x,y,z", "--lattice"], GEOMETRY),
-    (["faces", "x+y^2+z*w", "--vars", "x,y,z,w"], GEOMETRY),
+    (["faces", "x+y^2+z*w", "--vars", "x,y,z,w"], FAN),
     (["matrix", "x+y^2+z*w", "--vars", "x,y,z,w", "--S", "2,3"], OKOUNKOV),
     (["nok", "x+y^2+z*w", "--vars", "x,y,z,w", "--S", "2,3", "--degree", "2,1,1,1"], OKOUNKOV),
     (["graded", *DEL_PEZZO], OKOUNKOV),
