@@ -254,7 +254,9 @@ def _cmd_project(args) -> dict:
         points = _load_points(args.points)
     else:
         constraints, n = _constraints(args)
-        points, rays = okounkov._nonnegative_polyhedron(constraints, n)
+        points, rays = okounkov._nonnegative_polyhedron(
+            *okounkov._split_constraints(constraints, n)
+        )
         if not points:
             raise PreconditionError("the equality polytope is empty")
         if rays:

@@ -65,10 +65,6 @@ class LinealityBasis(_Frozen):
 
     _fields = ("v_f", "kernel_vectors")
 
-    def __init__(self, v_f: IntVector, kernel_vectors: tuple[IntVector, ...]):
-        d = self.__dict__
-        d["v_f"], d["kernel_vectors"] = v_f, kernel_vectors
-
     @cached_property
     def rows(self) -> tuple[IntVector, ...]:
         """v_f then the kernel vectors; one tuple object per basis, so every
@@ -106,10 +102,6 @@ class RayGenerator(_Frozen):
 
     _fields = ("i", "w")
 
-    def __init__(self, i: int, w: IntVector):
-        d = self.__dict__
-        d["i"], d["w"] = i, w
-
 
 def ray_generator(f: SparsePolynomial, i: int) -> RayGenerator:
     term = f.term(i)
@@ -123,12 +115,6 @@ class TropicalCone(_Frozen):
     """C_S in generator form: lineality basis plus one open ray per term not in S."""
 
     _fields = ("S", "lineality", "rays")
-
-    def __init__(
-        self, S: tuple[int, ...], lineality: LinealityBasis, rays: tuple[RayGenerator, ...]
-    ):
-        d = self.__dict__
-        d["S"], d["lineality"], d["rays"] = S, lineality, rays
 
     @property
     def dim(self) -> int:
@@ -175,10 +161,6 @@ class FaceDescriptor(_Frozen):
 
     _fields = ("term_indices", "supporting_weight")
 
-    def __init__(self, term_indices: tuple[int, ...], supporting_weight: tuple[int, ...]):
-        d = self.__dict__
-        d["term_indices"], d["supporting_weight"] = term_indices, supporting_weight
-
 
 def faces(f: SparsePolynomial) -> list[FaceDescriptor]:
     """One descriptor per nonempty term subset S, 2^K - 1 in total.
@@ -209,19 +191,6 @@ class WeightDecomposition(_Frozen):
     """
 
     _fields = ("S", "lineality", "lineality_coefficients", "rays", "ray_coefficients")
-
-    def __init__(
-        self,
-        S: tuple[int, ...],
-        lineality: LinealityBasis,
-        lineality_coefficients: tuple[Fraction, ...],
-        rays: tuple[RayGenerator, ...],
-        ray_coefficients: tuple[Fraction, ...],
-    ):
-        d = self.__dict__
-        d["S"], d["lineality"], d["rays"] = S, lineality, rays
-        d["lineality_coefficients"] = lineality_coefficients
-        d["ray_coefficients"] = ray_coefficients
 
     def reconstruct(self) -> tuple[Fraction, ...]:
         n = len(self.lineality.v_f)

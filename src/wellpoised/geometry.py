@@ -131,13 +131,6 @@ class MinkowskiReport(_Frozen):
 
     _fields = ("trivial_only", "census", "non_vertex_points")
 
-    def __init__(
-        self, trivial_only: bool, census: tuple[Point, ...], non_vertex_points: tuple[Point, ...]
-    ):
-        d = self.__dict__
-        d["trivial_only"], d["census"] = trivial_only, census
-        d["non_vertex_points"] = non_vertex_points
-
 
 def minkowski_decomposition_witness(p: LatticePolytope) -> MinkowskiReport:
     if not is_simplex(p):
@@ -164,6 +157,8 @@ def convex_hull_2d(points: Iterable[Sequence], keep_boundary: bool = False) -> l
     traversal order instead of being eliminated as collinear.
     """
     pts = sorted({canonical_point(p) for p in points})
+    if any(len(p) != 2 for p in pts):
+        raise PreconditionError("a planar hull needs points with two coordinates")
     if len(pts) <= 2:
         return pts
 

@@ -45,10 +45,6 @@ class ValuationMatrix(_Frozen):
 
     _fields = ("S", "rows")
 
-    def __init__(self, S: tuple[int, int], rows: tuple[tuple[int, ...], ...]):
-        d = self.__dict__
-        d["S"], d["rows"] = S, rows
-
     @property
     def n(self) -> int:
         return len(self.rows[0])
@@ -95,6 +91,8 @@ def minimal_semigroup_generators(vectors: Iterable[Sequence]) -> tuple[Point, ..
     integer-point kernel stops at the first such c.
     """
     gens = sorted({canonical_point(v) for v in vectors}, key=graded_lex_key)
+    if any(len(g) != len(gens[0]) for g in gens):
+        raise PreconditionError("generators of mixed dimensions")
     # with no generators the sum of no facets is (): no functional either
     phi = _positive_functional(gens, linalg.double_description(gens)[1])
     if not phi:
@@ -117,10 +115,6 @@ class GradingImage(_Frozen):
     generating set of the semigroup those degrees generate."""
 
     _fields = ("degrees", "minimal_generators")
-
-    def __init__(self, degrees: tuple[Point, ...], minimal_generators: tuple[Point, ...]):
-        d = self.__dict__
-        d["degrees"], d["minimal_generators"] = degrees, minimal_generators
 
 
 def grading_image(
@@ -175,16 +169,6 @@ class OkounkovBody(_Frozen):
 
     _fields = ("points", "vertices", "boundary", "area")
 
-    def __init__(
-        self,
-        points: tuple[Point, ...],
-        vertices: tuple[Point, ...],
-        boundary: Optional[tuple[Point, ...]],
-        area: Optional[Fraction],
-    ):
-        d = self.__dict__
-        d["points"], d["vertices"], d["boundary"], d["area"] = points, vertices, boundary, area
-
 
 def _make_body(points: Sequence[Sequence]) -> OkounkovBody:
     pts = tuple(canonical_point(p) for p in points)
@@ -234,10 +218,11 @@ def _split_constraints(constraints: Sequence[Constraint], n: int) -> tuple[list,
     return rows, canonical_point([t for _, t in constraints])
 
 
-def _nonnegative_polyhedron(constraints: Sequence[Constraint], n: int) -> tuple[list, list]:
+def _nonnegative_polyhedron(rows: Sequence[Point], targets: Point) -> tuple[list, list]:
     """The vertices, in graded-lex order, and the extreme rays of
-    {a >= 0 : row . a = target for all constraints}: the extreme rays (a, s)
-    of C = {(a, s) >= 0 : R a = t s} with s > 0, scaled to s = 1, and with
+    {a >= 0 : R a = t} for the rows R and targets t that
+    ``_split_constraints`` reads: the extreme rays (a, s) of
+    C = {(a, s) >= 0 : R a = t s} with s > 0, scaled to s = 1, and with
     s = 0.  One echelon of [R | -t] gives an integer matrix K whose columns
     span its kernel: for each free column f, d e_f minus the sum, over the
     pivot rows p with pivot column c, of (d / p_c) p_f e_c, where d is the
@@ -246,7 +231,7 @@ def _nonnegative_polyhedron(constraints: Sequence[Constraint], n: int) -> tuple[
     generate, and row i of K reads coordinate i of (a, s) = K y off each of
     them, so the rays are integer; each is divided by its gcd.
     """
-    rows, targets = _split_constraints(constraints, n)
+    n = len(rows[0])
     reduced, pivots = linalg.echelon([[*row, -t] for row, t in zip(rows, targets)])
     free = [f for f in range(n + 1) if f not in pivots]
     d = math.lcm(*(p[c] for p, c in zip(reduced, pivots)))
@@ -275,7 +260,7 @@ def graded_component(constraints: Sequence[Constraint], n: int) -> list[Exponent
     is sorted in graded-lex order.
     """
     rows, targets = _split_constraints(constraints, n)
-    vertices, rays = _nonnegative_polyhedron(constraints, n)
+    vertices, rays = _nonnegative_polyhedron(rows, targets)
     if not vertices:
         return []
     bounds = [(0, math.floor(max(v[j] for v in vertices)) + sum(w[j] for w in rays))
@@ -293,7 +278,7 @@ def equality_polytope_vertices(
 ) -> list[Point]:
     """Vertices of {a >= 0 : row . a = target for all constraints}, in
     graded-lex order (without the rays of an unbounded set)."""
-    return _nonnegative_polyhedron(constraints, n)[0]
+    return _nonnegative_polyhedron(*_split_constraints(constraints, n))[0]
 
 
 def projected_body(points: Sequence[Sequence], rows: Sequence[Sequence]) -> OkounkovBody:
@@ -306,6 +291,8 @@ def projected_body(points: Sequence[Sequence], rows: Sequence[Sequence]) -> Okou
     if not pts:
         raise PreconditionError("projection needs at least one point")
     proj = [canonical_point(row) for row in rows]
+    if not proj:
+        raise PreconditionError("projection needs at least one row")
     if any(len(x) != len(pts[0]) for x in (*pts, *proj)):
         raise PreconditionError("projection rows and points differ in length")
     return _make_body([tuple(sum(map(mul, row, p)) for row in proj) for p in pts])

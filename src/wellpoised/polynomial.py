@@ -15,9 +15,11 @@ included, raises ValueError naming it.
 
 The value types of every layer derive from ``_Frozen``, defined here because
 every other layer imports this one.  A subclass names its fields in
-``_fields``, and its ``__init__`` checks its arguments and writes each field
-once into the instance dict.  ``==``, ``hash`` and ``repr`` read the named
-fields in order; ``==`` between instances of two classes is NotImplemented.
+``_fields``; the base ``__init__`` binds the arguments to them by position
+and by name and writes each field once into the instance dict.  A class that
+checks or derives its arguments keeps its own ``__init__``, which writes the
+fields itself.  ``==``, ``hash`` and ``repr`` read the named fields in
+order; ``==`` between instances of two classes is NotImplemented.
 Assigning or deleting an attribute raises AttributeError.  There are no
 ``__slots__``, so a ``functools.cached_property`` can keep its value in the
 instance dict.
@@ -46,6 +48,29 @@ class _Frozen:
     """Immutable record compared, hashed and shown by the fields it names."""
 
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(fields, args))
+
+    def _bind(self, args: tuple, kwargs: dict) -> list:
+        """The field values in order, bound from arguments by position and by
+        name; a call Python would refuse raises TypeError naming the class."""
+        fields, name = self._fields, type(self).__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for key in kwargs:
+            if key in values or key not in fields:
+                problem = "multiple values for" if key in values else "an unexpected keyword"
+                raise TypeError(f"{name}() got {problem} argument {key!r}")
+        values.update(kwargs)
+        missing = ", ".join(repr(field) for field in fields if field not in values)
+        if missing:
+            raise TypeError(f"{name}() missing required arguments: {missing}")
+        return [values[field] for field in fields]
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -373,19 +398,11 @@ class SharedVariableWitness(_Frozen):
 
     _fields = ("variable", "terms")
 
-    def __init__(self, variable: int, terms: tuple[int, int]):
-        d = self.__dict__
-        d["variable"], d["terms"] = variable, terms
-
 
 class CommonFactorWitness(_Frozen):
     """A term pair (1-based) whose joint exponent gcd exceeds 1."""
 
     _fields = ("terms", "gcd")
-
-    def __init__(self, terms: tuple[int, int], gcd: int):
-        d = self.__dict__
-        d["terms"], d["gcd"] = terms, gcd
 
 
 Witness = Union[SharedVariableWitness, CommonFactorWitness]
@@ -395,10 +412,6 @@ class WellPoisedReport(_Frozen):
     """The classification of f, with the first offending pair when it fails."""
 
     _fields = ("well_poised", "monomial", "witness")
-
-    def __init__(self, well_poised: bool, monomial: bool, witness: Optional[Witness]):
-        d = self.__dict__
-        d["well_poised"], d["monomial"], d["witness"] = well_poised, monomial, witness
 
 
 def _pair_witness(a: Term, b: Term, terms: tuple[int, int]) -> Optional[Witness]:

@@ -344,6 +344,12 @@ def test_convex_hull_2d_boundary_keeps_edge_points():
     assert convex_hull_2d(pts, keep_boundary=True) == [(0, 0), (1, 0), (2, 0), (2, 2)]
 
 
+def test_convex_hull_2d_refuses_points_that_are_not_planar():
+    for pts in ([(1,), (0,), (2,)], [(1, 2, 3), (0, 0, 0), (1, 1, 1)], [(0, 0), (1, 0, 0)]):
+        with pytest.raises(PreconditionError, match="two coordinates"):
+            convex_hull_2d(pts)
+
+
 def test_convex_hull_2d_collinear():
     pts = [(0, 0), (1, 1), (3, 3)]
     assert convex_hull_2d(pts) == [(0, 0), (3, 3)]

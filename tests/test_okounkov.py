@@ -178,6 +178,9 @@ def test_minimal_semigroup_generators():
     assert minimal_semigroup_generators([(1,), (2,), (3,)]) == ((1,),)
     with pytest.raises(PreconditionError):
         minimal_semigroup_generators([(1, 0), (-1, 0)])
+    # (1,) is not 1 * (1, 0): generators of two lengths are refused
+    with pytest.raises(PreconditionError, match="generators of mixed dimensions"):
+        minimal_semigroup_generators([(1, 0), (1,)])
 
 
 def test_minimal_semigroup_generators_match_closure_oracle():
@@ -396,6 +399,22 @@ def test_graded_component_shares_the_vertex_double_descriptions(monkeypatch):
         assert len(calls) == 1 and calls == expected
 
 
+def test_graded_component_reads_its_constraints_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = okounkov._split_constraints
+    monkeypatch.setattr(okounkov, "_split_constraints", counted)
+    assert len(graded_component(DP_CONSTRAINTS, 5)) == 34
+    assert calls == [(DP_CONSTRAINTS, 5)]
+    calls.clear()
+    equality_polytope_vertices(DP_CONSTRAINTS, 5)
+    assert calls == [(DP_CONSTRAINTS, 5)]
+
+
 def random_rational(rng, bound=3):
     if rng.random() < 0.7:
         return rng.randint(-bound, bound)
@@ -494,7 +513,9 @@ def test_rays_are_primitive_and_their_scale_leaves_components_alone(monkeypatch)
         constraints = [
             ([rng.randint(-2, 3) for _ in range(n)], rng.randint(-2, 3)) for _ in range(m)
         ]
-        vertices, rays = okounkov._nonnegative_polyhedron(constraints, n)
+        vertices, rays = okounkov._nonnegative_polyhedron(
+            *okounkov._split_constraints(constraints, n)
+        )
         assert all(math.gcd(*w) == 1 for w in rays)
         systems.append((constraints, n))
         outcomes.append(outcome(constraints, n))
@@ -502,8 +523,8 @@ def test_rays_are_primitive_and_their_scale_leaves_components_alone(monkeypatch)
 
     real = okounkov._nonnegative_polyhedron
 
-    def tripled(constraints, n):
-        vertices, rays = real(constraints, n)
+    def tripled(rows, targets):
+        vertices, rays = real(rows, targets)
         return vertices, [tuple(3 * x for x in w) for w in rays]
 
     monkeypatch.setattr(okounkov, "_nonnegative_polyhedron", tripled)
@@ -580,6 +601,11 @@ def test_projected_bodies_reproduce_planar_figures():
     assert set(body3.boundary) == set(body1.boundary)
     assert body3.vertices == body1.vertices
     assert body3.area == 24
+
+
+def test_projected_body_needs_a_row():
+    with pytest.raises(PreconditionError, match="projection needs at least one row"):
+        projected_body([(1, 2), (3, 4)], [])
 
 
 def test_planar_bodies_match_their_hulls():

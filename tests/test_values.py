@@ -1,11 +1,16 @@
 """The value contract of the library's 16 public record types.
 
 Each is built by position and by keyword, compares and hashes by the fields
-it shows, shows them in its repr, and refuses assignment and deletion.
+it shows, shows them in its repr, and refuses assignment and deletion.  The
+twelve plain records take their initializer from the shared base, which
+binds the arguments to the fields and refuses a bad call with TypeError
+naming the class; only the four that check or derive their arguments
+define their own.
 """
 
 import inspect
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -166,3 +171,30 @@ def test_lineality_rows_are_cached_on_the_instance():
     assert rows == (BASIS.v_f, *BASIS.kernel_vectors)
     assert basis.rows is rows
     assert basis == BASIS and hash(basis) == hash(BASIS)
+
+
+CHECKING = {Term, SparsePolynomial, Grading, LatticePolytope}
+PLAIN = [param for param in VALUES if param.values[0] not in CHECKING]
+
+
+def test_only_the_checking_records_define_an_initializer():
+    assert len(PLAIN) == 12
+    for cls in (param.values[0] for param in VALUES):
+        assert ("__init__" in vars(cls)) == (cls in CHECKING), cls.__name__
+
+
+@pytest.mark.parametrize("cls, fields, shown, alternatives", PLAIN)
+def test_a_bad_call_raises_type_error_naming_the_class(cls, fields, shown, alternatives):
+    names, values = list(fields), list(fields.values())
+    n = len(names)
+    everything = ", ".join(map(repr, names))
+    bad_calls = [
+        (lambda: cls(*values[:-1]), f"missing required arguments: {names[-1]!r}"),
+        (lambda: cls(), f"missing required arguments: {everything}"),
+        (lambda: cls(*values, OTHER), f"takes {n} arguments but {n + 1} were given"),
+        (lambda: cls(**fields, extra=OTHER), "got an unexpected keyword argument 'extra'"),
+        (lambda: cls(*values[:1], **fields), f"got multiple values for argument {names[0]!r}"),
+    ]
+    for call, problem in bad_calls:
+        with pytest.raises(TypeError, match=f"^{re.escape(f'{cls.__name__}() {problem}')}$"):
+            call()
