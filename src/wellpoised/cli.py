@@ -2,8 +2,9 @@
 
 The parser declares each command: its subparser names the handler that runs
 it and marks the options it cannot run without as required, so argparse
-reports a missing one.  Each handler is a thin adapter: it parses its option
-values, runs one library operation, and builds that operation's JSON
+reports a missing one.  Each handler is a thin adapter: ``polynomial`` reads
+the numbers in its option values, which reach the library already canonical;
+it runs one library operation, and builds that operation's JSON
 document from the library's values, with its keys in a fixed order; ``run``
 puts ``schema_version`` first and prints the document with
 ``serialize.dumps`` (or as a human table with --format table).  Exit
@@ -27,10 +28,9 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import serialize
+from . import polynomial, serialize
 from .polynomial import (
     ParseError,
     PreconditionError,
@@ -60,42 +60,33 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _fraction(token: str) -> Fraction:
-    text = token.strip()
-    digits = text[1:] if text[:1] in "+-" else text
-    try:  # int() raises ValueError past sys.get_int_max_str_digits()
-        if digits.isascii() and digits.isdigit():
-            return Fraction(int(text))
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"not a rational number: {token!r}") from exc
+def _read(values, name: str, reader=polynomial.canonical_point) -> tuple:
+    """Option ``name``'s values read by ``reader``; its ValueError is a UsageError."""
+    try:
+        return reader(values)
+    except ValueError as exc:
+        raise UsageError(f"{name}: {exc}") from exc
 
 
-def _parse_vector(text: str) -> tuple[Fraction, ...]:
-    parts = [p for p in text.split(",") if p.strip()]
+def _split(text: str) -> list[str]:
+    return [p for p in text.split(",") if p.strip()]
+
+
+def _parse_vector(text: str, name: str) -> tuple:
+    parts = _split(text)
     if not parts:
         raise UsageError("empty vector")
-    return tuple(_fraction(p) for p in parts)
+    return _read(parts, name)
 
 
-def _parse_rows(text: str) -> list[tuple[Fraction, ...]]:
+def _parse_rows(text: str, name: str) -> list[tuple]:
     rows = [r for r in text.split(";") if r.strip()]
     if not rows:
         raise UsageError("empty row list")
-    return [_parse_vector(r) for r in rows]
+    return [_parse_vector(r, name) for r in rows]
 
 
-_SUBSET_ERROR = "subset must be comma-separated integers"
-
-
-def _parse_ints(text: str, message: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p) for p in text.split(",") if p.strip())
-    except ValueError as exc:
-        raise UsageError(f"{message}: {text!r}") from exc
-
-
-def _load_points(path: str) -> list[tuple[Fraction, ...]]:
+def _load_points(path: str) -> list[tuple]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -105,7 +96,8 @@ def _load_points(path: str) -> list[tuple[Fraction, ...]]:
         raise UsageError(f"points file is not valid JSON: {exc}") from exc
     if not isinstance(data, list) or not all(isinstance(p, list) for p in data):
         raise UsageError("points file must hold a JSON list of point lists")
-    points = [tuple(_fraction(str(x)) for x in p) for p in data]
+    # each value is read as the text JSON gave it, so 0.1 is 1/10, not a double
+    points = [_read([str(x) for x in p], "--points") for p in data]
     if not points or len({len(p) for p in points}) != 1:
         raise UsageError("points file must hold same-length, nonempty points")
     return points
@@ -119,8 +111,8 @@ def _polynomial(args) -> SparsePolynomial:
 def _constraints(args) -> tuple[list, int]:
     if args.eq_rows is None or args.eq_targets is None or args.dim is None:
         raise UsageError("--eq-rows, --eq-targets and --dim are required together")
-    rows = _parse_rows(args.eq_rows)
-    targets = _parse_vector(args.eq_targets)
+    rows = _parse_rows(args.eq_rows, "--eq-rows")
+    targets = _parse_vector(args.eq_targets, "--eq-targets")
     if len(rows) != len(targets):
         raise UsageError("one target per constraint row is required")
     if any(len(r) != args.dim for r in rows):
@@ -178,7 +170,7 @@ def _cmd_trop(args) -> dict:
 
     f = _polynomial(args)
     if args.classify is not None:
-        weight = _parse_vector(args.classify)
+        weight = _parse_vector(args.classify, "--classify")
         subset = fan.classify_weight(f, weight)
         return {
             "weight": weight,
@@ -200,7 +192,7 @@ def _cmd_matrix(args) -> dict:
     from . import okounkov
 
     f = _polynomial(args)
-    m = okounkov.valuation_matrix(f, _parse_ints(args.S, _SUBSET_ERROR))
+    m = okounkov.valuation_matrix(f, _read(_split(args.S), "--S", polynomial._exact_ints))
     return {
         "S": m.S,
         "rows": m.rows,
@@ -224,14 +216,15 @@ def _cmd_nok(args) -> dict:
 
     f = _polynomial(args)
     if args.cone_row is not None:
-        row = _parse_vector(args.cone_row)
+        row = _parse_vector(args.cone_row, "--cone-row")
         return {"extra_row": row, "generators": okounkov.global_nok_cone(f, row)}
     if args.S is None or args.degree is None:
         raise UsageError("either --cone-row or both --S and --degree are required")
-    subset = _parse_ints(args.S, _SUBSET_ERROR)
-    degree = _parse_ints(args.degree, "expected comma-separated integers")
+    subset = _read(_split(args.S), "--S", polynomial._exact_ints)
+    degree = _read(_split(args.degree), "--degree", polynomial._exact_ints)
     body = okounkov.nok_body(f, degree, subset)
-    return {"S": sorted(set(subset)), "degree": degree, **_body(body)}
+    # after nok_body, so that a bad grading is reported before a bad subset
+    return {"S": polynomial._term_subset(f, subset), "degree": degree, **_body(body)}
 
 
 def _cmd_graded(args) -> dict:
@@ -249,7 +242,7 @@ def _cmd_graded(args) -> dict:
 def _cmd_project(args) -> dict:
     from . import okounkov
 
-    rows = _parse_rows(args.rows)
+    rows = _parse_rows(args.rows, "--rows")
     if args.points is not None:
         points = _load_points(args.points)
     else:

@@ -8,10 +8,10 @@ irreducible is decided purely combinatorially: f qualifies exactly when its
 terms have pairwise disjoint supports and every pair of exponent vectors has
 joint gcd 1.  No factoring over any field is ever attempted.
 
-Every number or vector that a caller passes to a library operation is read
-here, by ``_fraction`` and ``canonical_point``: a finite number or numeric
-string is read exactly, and anything else, a bare string given for a vector
-included, raises ValueError naming it.
+Every number or vector that a caller or the command line passes to a library
+operation is read here, by ``_fraction`` and ``canonical_point``: a finite
+number or a numeric string within int()'s digit limit is read exactly, and
+anything else, a bare string given for a vector included, raises ValueError.
 
 The value types of every layer derive from ``_Frozen``, defined here because
 every other layer imports this one.  A subclass names its fields in
@@ -112,11 +112,26 @@ def total_degree(exponent: Sequence[int]) -> int:
     return sum(exponent)
 
 
+_DIGIT_LIMIT = 4300  # int()'s default: a longer integer is not written as text
+_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)$")
+
+
 def _fraction(value) -> Fraction:
     """Fraction(value), with ValueError naming a value that is not a finite
     number, such as None, inf or "1/0", where Fraction() raises TypeError,
-    OverflowError or ZeroDivisionError."""
+    OverflowError or ZeroDivisionError.  ASCII digits with at most one sign
+    go to int(), not Fraction's regex.  A string longer than int()'s digit
+    limit, counting its exponent's size, raises ValueError, so Fraction()
+    never builds 10**999999999 from "1e999999999"."""
     try:
+        if type(value) is str:
+            text = value.strip()
+            digits = text[1:] if text[:1] in "+-" else text
+            if digits.isascii() and digits.isdigit():
+                return Fraction(int(text))
+            exponent = _EXPONENT.search(text)
+            if len(text) + (abs(int(exponent[1])) if exponent else 0) > _DIGIT_LIMIT:
+                raise ValueError(f"number exceeds the limit of {_DIGIT_LIMIT} digits")
         return Fraction(value)
     except (TypeError, OverflowError, ZeroDivisionError) as exc:
         raise ValueError(f"{value!r} is not a number") from exc
@@ -209,7 +224,6 @@ class SparsePolynomial(_Frozen):
         cls,
         terms: Iterable[tuple[Union[int, Fraction, str], Sequence[int]]],
         variables: Optional[Sequence[str]] = None,
-        n: Optional[int] = None,
     ) -> "SparsePolynomial":
         """Merge (coefficient, exponent) pairs, drop exact zeros, sort canonically.
 
@@ -225,8 +239,7 @@ class SparsePolynomial(_Frozen):
         merged = {e: c for e, c in merged.items() if c != 0}
         if not merged:
             raise ValueError("no terms remain after merging")
-        if n is None:
-            n = len(next(iter(merged)))
+        n = len(next(iter(merged)))
         names = tuple(variables) if variables is not None else tuple(
             f"x{j + 1}" for j in range(n)
         )

@@ -136,14 +136,58 @@ def test_classify_takes_a_negative_weight_after_equals(capsys):
 
 
 def test_vectors_parse_to_fractions(capsys):
-    parsed = cli._parse_vector(" 6,+2,-3,1/2")
+    # the library's canonical form: int when integral, else Fraction
+    parsed = cli._parse_vector(" 6,+2,-3,1/2", "--classify")
     assert parsed == (6, 2, -3, Fraction(1, 2))
-    assert all(type(v) is Fraction for v in parsed)
+    assert [type(v) for v in parsed] == [int, int, int, Fraction]
     # a weight entry past int()'s digit limit is a validation error, not a crash
     argv = ["trop", "x+y", "--vars", "x,y", "--classify=1" + "0" * 4300 + ",0"]
     code, out, err = run_cli(capsys, argv)
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["code"] == "validation_error"
+
+
+def test_integer_options_follow_the_library_integer_rule(capsys):
+    matrix = ["matrix", "x+y^2+z*w", "--vars", "x,y,z,w", "--S"]
+    code, out, err = run_cli(capsys, matrix + ["2,3"])
+    assert code == 0 and err == ""
+    # any exact spelling of an integer is that integer; the subset is sorted
+    for spelling in ("3.0,2", "6/2,2", " 2 , +3 "):
+        assert run_cli(capsys, matrix + [spelling]) == (0, out, "")
+    nok = ["nok", "x+y^2+z*w", "--vars", "x,y,z,w", "--S", "2,3", "--degree"]
+    code, out, _ = run_cli(capsys, nok + ["2,1,1,1"])
+    assert code == 0 and run_cli(capsys, nok + ["4/2,1.0,1,1"]) == (0, out, "")
+    # a value that is not exactly an integer is never truncated
+    for argv in (matrix + ["5/2,3"], nok + ["2,1.5,1,1"]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "validation_error" and "is not an integer" in error["message"]
+    # past int()'s digit limit, in digits or by exponent: one JSON line naming
+    # the option, not a traceback
+    huge = "1" + "0" * 4999
+    for option, argv in (
+        ("--S", matrix + [huge + ",2"]),
+        ("--S", matrix + ["1e5000,2"]),
+        ("--degree", nok + ["1e5000,1,1,1"]),
+        ("--classify", ["trop", "x+y", "--vars", "x,y", f"--classify={huge},0"]),
+        ("--classify", ["trop", "x+y", "--vars", "x,y", "--classify=1e999999999,0"]),
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        error = json.loads(err)["error"]
+        assert error["code"] == "validation_error" and error["message"].startswith(option + ":")
+    # a malformed value is reported with the option it came from
+    messages = set()
+    for argv in (nok[:4] + ["--S", "a,3", "--degree", "2,1,1,1"], nok + ["a,1,1,1"]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        messages.add(json.loads(err)["error"]["message"].split(":")[0])
+    assert messages == {"--S", "--degree"}
+    # an empty list reaches the library, which refuses it
+    for argv in (matrix + [","], nok[:4] + ["--S", ",", "--degree", ","]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 3 and json.loads(err)["error"]["code"] == "precondition_violation"
 
 
 def test_matrix_matches_library(capsys):
@@ -240,6 +284,25 @@ def test_project_rejects_ragged_points_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["project", "--points", str(path), "--rows", "1,0"])
     assert code == 2
     assert json.loads(err)["error"]["code"] == "validation_error"
+
+
+def test_project_reads_each_points_file_value_exactly(capsys, tmp_path):
+    path = tmp_path / "points.json"
+    # a float is read as its decimal text, a string as a number of its own
+    path.write_text('[[0, 0], [0.1, 0], ["1/2", 2], [0, 3]]')
+    points = cli._load_points(str(path))
+    assert points == [(0, 0), (Fraction(1, 10), 0), (Fraction(1, 2), 2), (0, 3)]
+    assert [type(x) for p in points for x in p].count(int) == 6
+    code, out, err = run_cli(capsys, ["project", "--points", str(path), "--rows", "1,0;0,1"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["points"] == [[0, 0], ["1/10", 0], ["1/2", 2], [0, 3]]
+    # "1,2" is one malformed value, not two numbers; "1e5000" is past the digit limit
+    for bad in ('"1,2"', '"1e5000"'):
+        path.write_text(f'[[{bad}, 0], [0, 1]]')
+        code, out, err = run_cli(capsys, ["project", "--points", str(path), "--rows", "1,0"])
+        assert code == 2 and out == "" and err.count("\n") == 1
+        error = json.loads(err)["error"]
+        assert error["code"] == "validation_error" and error["message"].startswith("--points:")
 
 
 def test_output_is_deterministic(capsys):
@@ -503,6 +566,9 @@ EXIT_CODES = {2: {"validation_error", "parse_error"}, 3: {"precondition_violatio
 @example(["graded", "--eq-rows", "1,1,1;0,1,-1", "--eq-targets", "4,0", "--dim", "3"])
 @example(["project", "--eq-rows", "1,1,2", "--eq-targets", "2", "--dim", "3", "--rows", "1,0,0;0,1,0"])
 @example(["matrix", "x+y^2+z*w", "--vars", "x,y,z,w", "--S", "1,3"])
+# Exponent notation past int()'s digit limit is refused, not built and printed.
+@example(["matrix", "x+y", "--vars", "x,y", "--S", "1e5000,2"])
+@example(["trop", "x+y", "--vars", "x,y", "--classify=1e5000,0"])
 def test_every_argument_list_keeps_the_error_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -244,7 +244,7 @@ def test_vertices_subset_of_exponents_and_membership():
         }
         from wellpoised import SparsePolynomial
 
-        f = SparsePolynomial.from_terms([(1, e) for e in exps], n=n)
+        f = SparsePolynomial.from_terms([(1, e) for e in exps])
         p = newton_polytope(f)
         assert set(p.vertices) <= set(f.exponents())
         for e in f.exponents():

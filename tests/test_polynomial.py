@@ -361,6 +361,17 @@ def test_exponents_must_be_exactly_integers():
     assert exponent_gcd((Fraction(9),), (3.0,)) == 3
 
 
+def test_numeric_strings_stay_within_the_digit_limit():
+    from wellpoised.polynomial import canonical_point
+
+    # exponent notation is read exactly while the number fits int()'s limit
+    assert canonical_point(["2.5e3", "1E-3", "1e4_000"]) == (2500, Fraction(1, 1000), 10**4000)
+    # past it, refused before Fraction() builds the number
+    for text in ("1e5000", "1e-5000", "1e999999999", "1." + "1" * 4300):
+        with pytest.raises(ValueError, match="exceeds the limit of 4300 digits"):
+            canonical_point([text])
+
+
 def test_from_terms_rejects_empty():
     with pytest.raises(ValueError):
         SparsePolynomial.from_terms([(1, (1, 0)), (-1, (1, 0))])
