@@ -4,13 +4,14 @@ The parser declares each command: its subparser names the handler that runs
 it and marks the options it cannot run without as required, so argparse
 reports a missing one.  Each handler is a thin adapter: ``polynomial`` reads
 the numbers in its option values, which reach the library already canonical;
-it runs one library operation, and builds that operation's JSON
-document from the library's values, with its keys in a fixed order; ``run``
-puts ``schema_version`` first and prints the document with
-``serialize.dumps`` (or as a human table with --format table).  Exit
-status: 0 on success, 2 for input or validation errors, 3 for violated
-operation preconditions.  Errors are reported as one-line JSON documents on
-standard error.
+it runs one library operation, and builds that operation's JSON document
+from the library's values, with its keys in a fixed order.  ``trop`` reads
+the fan's sweep of the term subsets itself, so it builds no cone object
+only to read it back.  ``run`` puts ``schema_version`` first and prints the
+document with ``serialize.dumps`` (or as a human table with --format
+table).  Exit status: 0 on success, 2 for input or validation errors, 3
+for violated operation preconditions.  Errors are reported as one-line JSON
+documents on standard error.
 
 ``run`` builds the parser once per process.  When the first argument names
 a command, that command's own parser reads the rest, as the full parser
@@ -177,14 +178,12 @@ def _cmd_trop(args) -> dict:
             "S": subset,
             "in_tropical_variety": len(subset) >= 2,
         }
+    # the cones of fan.tropical_variety, read straight from the fan's sweep
+    basis, pairs = fan._sweep(f, range(2, f.k + 1))
+    rows, dim = basis.rows, basis.dim
     return {"cones": [
-        {
-            "S": c.S,
-            "dim": c.dim,
-            "lineality": c.lineality.rows,
-            "rays": [ray.w for ray in c.rays],
-        }
-        for c in fan.tropical_variety(f)
+        {"S": s, "dim": dim + len(rays), "lineality": rows, "rays": [ray.w for ray in rays]}
+        for s, rays in pairs
     ]}
 
 

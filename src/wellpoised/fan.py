@@ -7,6 +7,9 @@ that term's support.  A weight lands in C_S exactly when S is the set of
 terms maximizing its inner products, and C_S belongs to the tropical variety
 when |S| >= 2 (the initial form is not a monomial).  Every nonempty S is also
 a face of the Newton polytope, supported by the sum of the rays of C_S.
+The cone list and the face list come from one sweep over the term subsets,
+which pairs each S with the rays outside it and shares one lineality basis
+and one ray per term among all of them.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import itertools
 import math
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import linalg
 from .polynomial import (
@@ -121,19 +124,33 @@ class TropicalCone(_Frozen):
         return self.lineality.dim + len(self.rays)
 
 
-def _cones(f: SparsePolynomial, subsets: Iterable[tuple[int, ...]]) -> list[TropicalCone]:
-    """C_S for each sorted subset S, from one lineality basis and one ray per term.
+def _sweep(f: SparsePolynomial, sizes: Iterable[int]) -> tuple[LinealityBasis, Iterator]:
+    """The lineality basis of f, and a lazy stream of (S, rays of the terms
+    outside S) for every term subset S of each size, lex within a size.
 
-    Every cone holds the same basis object and the same ray objects, so the
-    JSON writer, which memoises tuples by identity, renders each row once.
+    The basis is built first, so the fan's input check runs even when no
+    subset follows.  The complements of one size's lex-ordered subsets are
+    the other size's lex-ordered subsets, backwards, so no S filters the
+    rays.  The pairs share one ray object per term, so the JSON writer,
+    which memoises tuples by identity, renders each row once.
     """
     basis = lineality_basis(f)
-    rays = [ray_generator(f, i) for i in range(1, f.k + 1)]
-    return [TropicalCone(s, basis, tuple(ray for ray in rays if ray.i not in s)) for s in subsets]
+    terms = range(1, f.k + 1)
+    rays = [ray_generator(f, i) for i in terms]
+    pairs = (
+        zip(
+            itertools.combinations(terms, size),
+            reversed([*itertools.combinations(rays, f.k - size)]),
+        )
+        for size in sizes
+    )
+    return basis, itertools.chain.from_iterable(pairs)
 
 
 def cone(f: SparsePolynomial, subset: Iterable[int]) -> TropicalCone:
-    return _cones(f, [_term_subset(f, subset)])[0]
+    s = _term_subset(f, subset)
+    rays = tuple(ray_generator(f, i) for i in range(1, f.k + 1) if i not in s)
+    return TropicalCone(s, lineality_basis(f), rays)
 
 
 def classify_weight(f: SparsePolynomial, weight: Sequence) -> tuple[int, ...]:
@@ -152,8 +169,8 @@ def tropical_variety(f: SparsePolynomial) -> list[TropicalCone]:
 
     The maximal cones are exactly the two-element subsets: K*(K-1)/2 of them.
     """
-    terms, sizes = range(1, f.k + 1), range(2, f.k + 1)
-    return _cones(f, (s for size in sizes for s in itertools.combinations(terms, size)))
+    basis, pairs = _sweep(f, range(2, f.k + 1))
+    return [TropicalCone(s, basis, rays) for s, rays in pairs]
 
 
 class FaceDescriptor(_Frozen):
@@ -177,10 +194,11 @@ def faces(f: SparsePolynomial) -> list[FaceDescriptor]:
     if witness is not None:
         i, j = witness.terms
         raise PreconditionError(f"faces requires pairwise exponent gcd 1; terms {i},{j} violate it")
-    terms = range(1, f.k + 1)
-    cones = _cones(f, (s for size in terms for s in itertools.combinations(terms, size)))
+    _, pairs = _sweep(f, range(1, f.k + 1))
     zero = (0,) * f.n
-    return [FaceDescriptor(c.S, tuple(map(sum, zip(zero, *(r.w for r in c.rays))))) for c in cones]
+    return [
+        FaceDescriptor(s, tuple(map(sum, zip(zero, *(r.w for r in rays))))) for s, rays in pairs
+    ]
 
 
 class WeightDecomposition(_Frozen):

@@ -111,14 +111,20 @@ def lattice_points(p: LatticePolytope) -> list[Exponent]:
     The integer-point kernel solves the affine-hull equations inside the
     bounding box of the vertices, and the facet inequalities keep the points
     of the polytope: one path for simplices and for every other polytope.
+    A facet that holds at every point of the box rejects no candidate, so it
+    is dropped first; a coordinate simplex keeps none.
     """
-    eqs, facets = p.equations, p.facets
+    eqs = p.equations
     bounds = [(math.ceil(min(c)), math.floor(max(c))) for c in zip(*p.vertices)]
+    facets = [
+        f
+        for f in p.facets
+        if sum(min(a * lo, a * hi) for a, (lo, hi) in zip(f, bounds)) + f[-1] < 0
+    ]
     points = linalg.integer_points([e[:-1] for e in eqs], [-e[-1] for e in eqs], bounds)
-    return sorted(
-        (pt for pt in points if all(sum(map(mul, f, pt)) + f[-1] >= 0 for f in facets)),
-        key=graded_lex_key,
-    )
+    if facets:
+        points = (pt for pt in points if all(sum(map(mul, f, pt)) + f[-1] >= 0 for f in facets))
+    return sorted(points, key=graded_lex_key)
 
 
 class MinkowskiReport(_Frozen):

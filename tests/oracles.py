@@ -10,8 +10,9 @@ through the closure of {0} under adding generators, primitive integer
 rows through a gcd of the scaled entries, and the JSON text of a document
 through the standard ``json`` module with the rational rule of
 ``fraction_text``, polynomial text through a character scanner that
-splits signed chunks and reads each number with ``Fraction(str)``, and
-weighted degrees through sums of ``Fraction`` products.
+splits signed chunks and reads each number with ``Fraction(str)``,
+weighted degrees through sums of ``Fraction`` products, and the cones of
+the tropical fan through a scan of the bit masks of the term subsets.
 Only the ``rref`` helper (and ``row_space_equal`` on it) reads the
 library's ``echelon``; sympy checks it.
 """
@@ -491,3 +492,25 @@ def weighted_degrees_by_fractions(f: SparsePolynomial, weight):
     Fraction products, and their maximum."""
     products = [sum(Fraction(w) * e for w, e in zip(weight, t.exponent)) for t in f.terms]
     return products, max(products)
+
+
+def cones_by_definition(f: SparsePolynomial, smallest: int):
+    """(S, ray vectors of the terms outside S) for every term subset S with at
+    least ``smallest`` terms, by decreasing cone dimension, then lex.
+
+    The subsets come from the 2^K bit masks; C_S has dimension
+    dim(lineality) + K - |S|, so decreasing dimension is increasing size.
+    The ray of term i is -1 on that term's support, in term order.
+    """
+    subsets = (
+        tuple(i + 1 for i in range(f.k) if mask >> i & 1) for mask in range(1 << f.k)
+    )
+    return [
+        (s, tuple(
+            tuple(-1 if e else 0 for e in t.exponent)
+            for i, t in enumerate(f.terms, 1)
+            if i not in s
+        ))
+        for s in sorted(subsets, key=lambda s: (len(s), s))
+        if len(s) >= smallest
+    ]

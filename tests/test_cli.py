@@ -14,6 +14,7 @@ from wellpoised import fan, geometry, okounkov
 from wellpoised.polynomial import initial_form, is_well_poised, parse, to_string
 
 from oracles import json_value
+from test_serialize import chain_argv
 
 
 def run_cli(capsys, argv):
@@ -98,14 +99,28 @@ def test_faces_matches_library(capsys):
 
 
 def test_trop_matches_library(capsys):
-    code, out, _ = run_cli(capsys, ["trop", "x+y^2+z*w", "--vars", "x,y,z,w"])
+    # the CLI reads the fan's sweep itself; the library builds the cones
+    argvs = [["trop", "x+y^2+z*w", "--vars", "x,y,z,w"], *map(chain_argv, range(3, 11))]
+    for argv in argvs:
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        f = parse(argv[1], argv[3].split(","))
+        expected = [
+            {"S": c.S, "dim": c.dim, "lineality": c.lineality.rows, "rays": [r.w for r in c.rays]}
+            for c in fan.tropical_variety(f)
+        ]
+        assert_document(out, {"cones": expected})
+
+
+def test_trop_checks_the_fan_input_when_there_is_no_cone(capsys):
+    # the lineality basis carries the check and is built before the first cone
+    for argv in (["trop", "5", "--vars", "x"], ["trop", "x+x*y", "--vars", "x,y"]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"]["code"] == "precondition_violation"
+    code, out, _ = run_cli(capsys, ["trop", "x", "--vars", "x"])
     assert code == 0
-    f = parse("x+y^2+z*w", ["x", "y", "z", "w"])
-    expected = [
-        {"S": c.S, "dim": c.dim, "lineality": c.lineality.rows, "rays": [r.w for r in c.rays]}
-        for c in fan.tropical_variety(f)
-    ]
-    assert_document(out, {"cones": expected})
+    assert_document(out, {"cones": []})
 
 
 def test_trop_classify(capsys):

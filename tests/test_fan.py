@@ -9,6 +9,7 @@ from wellpoised import (
     classify_weight,
     cone,
     decompose_weight,
+    faces,
     homogeneity_vector,
     in_tropical_variety,
     initial_form,
@@ -19,6 +20,7 @@ from wellpoised import (
 )
 from wellpoised import linalg
 from oracles import (
+    cones_by_definition,
     random_disjoint_polynomial,
     rank_by_minors,
     row_space_equal,
@@ -156,6 +158,34 @@ def test_tropical_variety_structure():
     only = cones[0]
     assert only.S == (1, 2) and only.dim == 1 and only.rays == ()
     assert only.lineality.rows == ((3, 2),)
+
+
+def test_cone_lists_follow_their_definition():
+    rng = random.Random(71)
+    for _ in range(30):
+        f = random_disjoint_polynomial(rng, max_n=9, max_k=7)
+        basis = lineality_basis(f)
+        cones = tropical_variety(f)
+        expected = cones_by_definition(f, 2)
+        assert [(c.S, tuple(r.w for r in c.rays)) for c in cones] == expected
+        assert all(c.lineality == basis for c in cones)
+        assert [c.dim for c in cones] == [basis.dim + f.k - len(s) for s, _ in expected]
+        assert all(cone(f, c.S) == c for c in cones)
+        # one basis object and one ray object per term, whichever cone holds it
+        assert len({id(c.lineality) for c in cones}) == 1
+        assert len({id(r) for c in cones for r in c.rays}) == (f.k if f.k > 2 else 0)
+        for c in cones:
+            assert [r.i for r in c.rays] == [i for i in range(1, f.k + 1) if i not in c.S]
+
+
+def test_face_weights_are_the_sums_of_the_outside_rays():
+    rng = random.Random(73)
+    for _ in range(20):
+        f = random_disjoint_polynomial(rng, max_n=9, max_k=7, force_gcd_one=True)
+        zero = (0,) * f.n
+        assert [(d.term_indices, d.supporting_weight) for d in faces(f)] == [
+            (s, tuple(map(sum, zip(zero, *rays)))) for s, rays in cones_by_definition(f, 1)
+        ]
 
 
 def test_dimension_identity():
