@@ -16,10 +16,9 @@ cones of the tropical fan give, are built in ``fan``.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
-from operator import and_, mul
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -70,12 +69,16 @@ class LatticePolytope(_Frozen):
         if any(len(p) != n for p in pts):
             raise PreconditionError("points of mixed dimensions")
         equations, facets, masks = linalg.double_description([(*p, 1) for p in pts])
-        every = (1 << len(pts)) - 1
-        verts = tuple(
-            p
-            for i, p in enumerate(pts)
-            if functools.reduce(and_, (m for m in masks if m >> i & 1), every) == 1 << i
-        )
+        # meet[i]: the points on every facet through point i; each mask is
+        # read once, bit by bit, into the entry of every point on its facet
+        meet = [(1 << len(pts)) - 1] * len(pts)
+        for m in masks:
+            rest = m
+            while rest:
+                low = rest & -rest
+                meet[low.bit_length() - 1] &= m
+                rest ^= low
+        verts = tuple(p for i, p in enumerate(pts) if meet[i] == 1 << i)
         return cls(n, verts, equations, facets)
 
     def contains(self, point: Sequence) -> bool:

@@ -29,7 +29,10 @@ Row = tuple[int, ...]
 
 def _integer_row(row: Sequence[Scalar]) -> list[int]:
     """The row times the lcm of its denominators, as ints."""
-    if all(type(x) is int for x in row):
+    for x in row:
+        if type(x) is not int:
+            break
+    else:
         return list(row)
     fracs = [Fraction(x) for x in row]
     d = math.lcm(*(f.denominator for f in fracs))
@@ -103,10 +106,11 @@ def double_description(
     cone on the first linearly independent vectors.  The other vectors join
     one at a time by double description (Motzkin, Raiffa, Thompson and
     Thrall, 1953; Fukuda and Prodon, 1996), with the facets as the rays of
-    the dual cone.  Facets negative on the new vector go; each of them and
-    each facet positive on it that are adjacent (no third facet holds every
-    vector the two share) give the positive combination of the two that
-    vanishes on it, divided by its gcd.
+    the dual cone.  One pass sorts the facets by their sign on the new
+    vector.  Facets negative on it go; each of them and each facet positive
+    on it that are adjacent (no third facet holds every vector the two
+    share, and the scan stops at the first that does) give the positive
+    combination of the two that vanishes on it, divided by its gcd.
     """
     vs = [_integer_row(v) for v in vectors]
     k, width = len(vs), len(vs[0]) if vs else 0
@@ -120,23 +124,34 @@ def double_description(
         if spanned >> j & 1:
             continue
         bit = 1 << j
-        signed = [(sum(map(mul, ray, v)), ray, mask) for ray, mask in rays]
-        masks = [mask for _, mask in rays]
-        rays = [(ray, mask | bit if s == 0 else mask) for s, ray, mask in signed if s >= 0]
-        below = [entry for entry in signed if entry[0] < 0]
-        for sa, a, ma in signed:
-            if sa <= 0:
+        kept, above, below = [], [], []
+        for ray, mask in rays:
+            s = sum(map(mul, ray, v))
+            if s < 0:
+                below.append((s, ray, mask))
                 continue
+            if s > 0:
+                above.append((s, ray, mask))
+            else:
+                mask |= bit
+            kept.append((ray, mask))
+        old, rays = rays, kept
+        if not below:
+            continue
+        masks = [mask for _, mask in old]
+        for sa, a, ma in above:
             for sb, b, mb in below:
                 common = ma & mb
                 # adjacent rays of the rank-r cone share r - 2 independent zeros
-                if common.bit_count() < rank - 2 or any(
-                    m & common == common for m in masks if m != ma and m != mb
-                ):
+                if common.bit_count() < rank - 2:
                     continue
-                combined = [sa * y - sb * x for x, y in zip(a, b)]
-                g = math.gcd(*combined)
-                rays.append(([x // g for x in combined], common | bit))
+                for m in masks:
+                    if m & common == common and m != ma and m != mb:
+                        break
+                else:
+                    combined = [sa * y - sb * x for x, y in zip(a, b)]
+                    g = math.gcd(*combined)
+                    rays.append(([x // g for x in combined] if g > 1 else combined, common | bit))
     equations = tuple(tuple(row[k:]) for row in reduced[rank:])
     return equations, tuple(tuple(ray) for ray, _ in rays), [mask for _, mask in rays]
 

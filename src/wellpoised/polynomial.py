@@ -141,10 +141,17 @@ def canonical_point(point: Iterable) -> tuple:
     """The entries of a vector from a caller: int when integral, Fraction
     otherwise.
 
-    A bare string is refused: read as a vector it would give one entry per
-    character.  An entry that is not a finite number raises ValueError.
+    A tuple of ints comes back as it is.  A bare string is refused: read as
+    a vector it would give one entry per character.  An entry that is not a
+    finite number raises ValueError.
     """
-    if isinstance(point, (str, bytes)):
+    if type(point) is tuple:
+        for x in point:
+            if type(x) is not int:
+                break
+        else:
+            return point
+    elif isinstance(point, (str, bytes)):
         raise ValueError(f"expected a vector, not the string {point!r}")
     out = []
     for x in point:
@@ -156,13 +163,11 @@ def canonical_point(point: Iterable) -> tuple:
 
 
 def _exact_ints(values: Iterable) -> tuple[int, ...]:
-    """The values as a tuple of ints; a tuple of ints comes back as it is.
+    """The values, read by ``canonical_point``, as a tuple of ints.
 
     Raises ValueError where ``canonical_point`` does, and for a value that is
     not exactly an integer, such as 5/2 or 2.9, which int() would truncate.
     """
-    if type(values) is tuple and all(type(v) is int for v in values):
-        return values
     ints = canonical_point(values)
     for x in ints:
         if type(x) is not int:
@@ -183,12 +188,14 @@ class Term(_Frozen):
     _fields = ("coefficient", "exponent")
 
     def __init__(self, coefficient: Union[int, Fraction, str], exponent: Sequence[int]):
-        if type(coefficient) is not Fraction:
+        if type(coefficient) is int:
+            coefficient = Fraction(coefficient)
+        elif type(coefficient) is not Fraction:
             coefficient = _fraction(coefficient)
         exponent = _exact_ints(exponent)
-        if coefficient == 0:
+        if not coefficient.numerator:
             raise ValueError("term coefficient must be nonzero")
-        if any(e < 0 for e in exponent):
+        if exponent and min(exponent) < 0:
             raise ValueError("exponents must be non-negative")
         d = self.__dict__
         d["coefficient"], d["exponent"] = coefficient, exponent
@@ -214,7 +221,7 @@ class SparsePolynomial(_Frozen):
         if any(len(e) != n for e in exps):
             raise ValueError("exponent length differs from ambient dimension")
         keys = [graded_lex_key(e) for e in exps]
-        if sorted(set(keys)) != keys:
+        if any(a >= b for a, b in zip(keys, keys[1:])):
             raise ValueError("terms must be distinct and canonically ordered")
         d = self.__dict__
         d["n"], d["terms"], d["variables"] = n, terms, variables
@@ -320,8 +327,9 @@ def parse(text: str, variables: Sequence[str]) -> SparsePolynomial:
             factor = factor.strip()
             if not factor:
                 raise ParseError(f"malformed token in {chunk!r}")
-            m = _NUMBER_RE.fullmatch(factor)
-            if m is not None:
+            # \d is exactly isdecimal(): a factor that starts otherwise is no number
+            m = factor[0].isdecimal() and _NUMBER_RE.fullmatch(factor)
+            if m:
                 num *= _int(m.group(1), factor)
                 den *= 1 if m.group(2) is None else _int(m.group(2), factor)
                 if den == 0:

@@ -343,6 +343,15 @@ def test_double_description_edge_cones():
     # a zero column: no functional is positive on it
     assert positive_functional([(1, 0), (0, 0)]) is None
     assert positive_functional([(0, 0)]) is None
+    # the cube {0,1,2}^4 with its interior and face points: many facet pairs
+    # share enough zeros to pass the count test yet are not adjacent
+    cube = [(*p, 1) for p in itertools.product(range(3), repeat=4)]
+    equations, facets, masks = linalg.double_description(cube)
+    assert equations == () and len(facets) == 8
+    for f, mask in zip(facets, masks):
+        assert all(dot(f, v) >= 0 for v in cube)
+        assert mask == sum(1 << j for j, v in enumerate(cube) if dot(f, v) == 0)
+        assert mask.bit_count() == 27
     # no vectors at all
     assert linalg.double_description([]) == ((), (), [])
     with pytest.raises(PreconditionError):

@@ -82,7 +82,9 @@ def test_parse_rejects(text):
         parse(text, ["x", "y"])
 
 
-PARSER_ALPHABET = list("xyz 0123/^*+-") + ["\t", "\x1c", "\u3000", "\u0663"]
+# "\u0663" is a decimal digit that \d matches; "\u00b2" (superscript two) is
+# a digit to isdigit() that \d does not match
+PARSER_ALPHABET = list("xyz 0123/^*+-") + ["\t", "\x1c", "\u3000", "\u0663", "\u00b2"]
 
 
 def _parse_outcome(parser, text):
@@ -291,10 +293,13 @@ def test_canonical_term_order():
 
 
 def test_term_rejects_zero_coefficient_and_negative_exponent():
-    with pytest.raises(ValueError, match="nonzero"):
-        Term(0, (1,))
-    with pytest.raises(ValueError, match="non-negative"):
-        Term(1, (-1,))
+    for zero in (0, Fraction(0), "0/3", 0.0):
+        with pytest.raises(ValueError, match="nonzero"):
+            Term(zero, (1,))
+    for exponent in ((-1,), (0, -1)):
+        with pytest.raises(ValueError, match="non-negative"):
+            Term(1, exponent)
+    assert Term(1, ()).exponent == ()
 
 
 @pytest.mark.parametrize(
@@ -370,6 +375,18 @@ def test_numeric_strings_stay_within_the_digit_limit():
     for text in ("1e5000", "1e-5000", "1e999999999", "1." + "1" * 4300):
         with pytest.raises(ValueError, match="exceeds the limit of 4300 digits"):
             canonical_point([text])
+
+
+def test_canonical_point_returns_an_int_tuple_as_it_is():
+    from wellpoised.polynomial import canonical_point
+
+    point = (3, 0, -2)
+    assert canonical_point(point) is point
+    for given in [(True, 2), [1, Fraction(4, 2)]]:
+        read = canonical_point(given)
+        assert read == (1, 2) and [type(x) for x in read] == [int, int]
+    with pytest.raises(ValueError, match="not the string '12'"):
+        canonical_point("12")
 
 
 def test_from_terms_rejects_empty():
