@@ -320,27 +320,22 @@ def _emit_error(code: str, message: str) -> None:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first run and reused by later runs."""
-    return build_parser()
-
-
-@functools.cache
-def _commands() -> dict[str, argparse.ArgumentParser]:
-    """Each command's own parser, taken from the cached full parser."""
-    (action,) = (
-        a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    return action.choices
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser, built on the first run and reused by later runs, and
+    each command's own parser, taken from it."""
+    parser = build_parser()
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return parser, action.choices
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     # The full parser hands every argument after the command to that
     # command's parser, which raises the same UsageError; parsing with it
     # alone skips the top-level pass.
-    command = _commands().get(argv[0]) if argv else None
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
     if command is None:
-        return _parser().parse_args(argv)
+        return parser.parse_args(argv)
     return command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
 
 

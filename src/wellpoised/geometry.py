@@ -82,6 +82,7 @@ class LatticePolytope(_Frozen):
         return cls(n, verts, equations, facets)
 
     def contains(self, point: Sequence) -> bool:
+        point = canonical_point(point)
         if len(point) != self.n:
             raise PreconditionError("the point and the polytope differ in dimension")
         return linalg.in_cone(self.equations, self.facets, (*point, 1))
@@ -92,8 +93,6 @@ def in_convex_hull(point: Sequence, generators: Sequence[Sequence]) -> bool:
     gens = list(generators)
     if not gens:
         return False
-    if any(len(g) != len(point) for g in gens):
-        raise PreconditionError("the point and the generators differ in length")
     return LatticePolytope.from_points(gens).contains(point)
 
 
@@ -159,15 +158,20 @@ def _cross(o: Point, a: Point, b: Point):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
+def _planar(points: Iterable[Sequence]) -> list[Point]:
+    pts = [canonical_point(p) for p in points]
+    if any(len(p) != 2 for p in pts):
+        raise PreconditionError("a planar hull needs points with two coordinates")
+    return pts
+
+
 def convex_hull_2d(points: Iterable[Sequence], keep_boundary: bool = False) -> list[Point]:
     """Monotone-chain hull cycle, counter-clockwise from the lex-min point.
 
     With keep_boundary=True, input points lying on hull edges are kept in
     traversal order instead of being eliminated as collinear.
     """
-    pts = sorted({canonical_point(p) for p in points})
-    if any(len(p) != 2 for p in pts):
-        raise PreconditionError("a planar hull needs points with two coordinates")
+    pts = sorted(set(_planar(points)))
     if len(pts) <= 2:
         return pts
 
@@ -193,8 +197,6 @@ def convex_hull_2d(points: Iterable[Sequence], keep_boundary: bool = False) -> l
 
 def shoelace_area(cycle: Sequence[Point]) -> Fraction:
     """Exact area of a polygon given as a closed vertex cycle."""
-    total = Fraction(0)
-    for i, (x1, y1) in enumerate(cycle):
-        x2, y2 = cycle[(i + 1) % len(cycle)]
-        total += Fraction(x1) * Fraction(y2) - Fraction(x2) * Fraction(y1)
-    return abs(total) / 2
+    pts = _planar(cycle)
+    total = sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]))
+    return abs(Fraction(total)) / 2

@@ -172,8 +172,6 @@ class OkounkovBody(_Frozen):
 
 def _make_body(points: Sequence[Sequence]) -> OkounkovBody:
     pts = tuple(canonical_point(p) for p in points)
-    if not pts:
-        raise PreconditionError("a body needs at least one point")
     ambient = len(pts[0])
     if ambient == 2:
         boundary = tuple(convex_hull_2d(pts, keep_boundary=True))

@@ -15,14 +15,15 @@ anything else, a bare string given for a vector included, raises ValueError.
 
 The value types of every layer derive from ``_Frozen``, defined here because
 every other layer imports this one.  A subclass names its fields in
-``_fields``; the base ``__init__`` binds the arguments to them by position
-and by name and writes each field once into the instance dict.  A class that
-checks or derives its arguments keeps its own ``__init__``, which writes the
-fields itself.  ``==``, ``hash`` and ``repr`` read the named fields in
-order; ``==`` between instances of two classes is NotImplemented.
-Assigning or deleting an attribute raises AttributeError.  There are no
-``__slots__``, so a ``functools.cached_property`` can keep its value in the
-instance dict.
+``_fields``.  A class that checks or derives its arguments writes its own
+``__init__``; for every other class the base compiles one from ``_fields``
+when the class is created, so Python binds the arguments and refuses a bad
+call with its own TypeError naming ``<Class>.__init__()``.  Each field is
+written once into the instance dict.  ``==``, ``hash`` and ``repr`` read the
+named fields in order; ``==`` between instances of two classes is
+NotImplemented.  Assigning or deleting an attribute raises AttributeError.
+There are no ``__slots__``, so a ``functools.cached_property`` can keep its
+value in the instance dict.
 """
 
 from __future__ import annotations
@@ -49,28 +50,16 @@ class _Frozen:
 
     _fields: tuple[str, ...] = ()
 
-    def __init__(self, *args, **kwargs):
-        fields = self._fields
-        if kwargs or len(args) != len(fields):
-            args = self._bind(args, kwargs)
-        self.__dict__.update(zip(fields, args))
-
-    def _bind(self, args: tuple, kwargs: dict) -> list:
-        """The field values in order, bound from arguments by position and by
-        name; a call Python would refuse raises TypeError naming the class."""
-        fields, name = self._fields, type(self).__qualname__
-        if len(args) > len(fields):
-            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
-        values = dict(zip(fields, args))
-        for key in kwargs:
-            if key in values or key not in fields:
-                problem = "multiple values for" if key in values else "an unexpected keyword"
-                raise TypeError(f"{name}() got {problem} argument {key!r}")
-        values.update(kwargs)
-        missing = ", ".join(repr(field) for field in fields if field not in values)
-        if missing:
-            raise TypeError(f"{name}() missing required arguments: {missing}")
-        return [values[field] for field in fields]
+    def __init_subclass__(cls):
+        """Give a subclass without its own ``__init__`` one compiled from its
+        ``_fields``, which writes each argument into the instance dict."""
+        if "__init__" not in vars(cls):
+            fields = cls._fields
+            writes = "".join(f"\n d[{name!r}] = {name}" for name in fields)
+            namespace = {"__name__": cls.__module__}
+            exec(f"def __init__(self, {', '.join(fields)}):\n d = self.__dict__{writes}", namespace)
+            cls.__init__ = namespace["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

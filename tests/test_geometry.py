@@ -348,6 +348,8 @@ def test_convex_hull_2d_refuses_points_that_are_not_planar():
     for pts in ([(1,), (0,), (2,)], [(1, 2, 3), (0, 0, 0), (1, 1, 1)], [(0, 0), (1, 0, 0)]):
         with pytest.raises(PreconditionError, match="two coordinates"):
             convex_hull_2d(pts)
+        with pytest.raises(PreconditionError, match="two coordinates"):
+            shoelace_area(pts)
 
 
 def test_convex_hull_2d_collinear():

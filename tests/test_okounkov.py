@@ -31,6 +31,7 @@ from wellpoised import (
     nok_body,
     parse,
     projected_body,
+    shoelace_area,
     valuation_matrix,
     variable_valuations,
 )
@@ -51,6 +52,7 @@ F = parse("x + y^2 + z*w", XYZW)
 DP = parse("T1*T2 + T3^2 + T4*T5", ["T1", "T2", "T3", "T4", "T5"])
 
 DP_CONSTRAINTS = [((1, -1, 0, -1, 1), 0), ((1, 1, 1, 0, 2), 6)]
+SQUARE = LatticePolytope.from_points([(0, 0), (2, 0), (0, 2), (2, 2)])
 
 
 def test_valuation_matrices_byte_exact():
@@ -655,8 +657,6 @@ def test_projected_body_rejects_mismatched_lengths(points, rows):
 
 def test_shoelace_matches_triangulation():
     rng = random.Random(89)
-    from wellpoised import convex_hull_2d, shoelace_area
-
     for _ in range(30):
         pts = {
             (rng.randint(-6, 6), rng.randint(-6, 6))
@@ -680,6 +680,9 @@ STRINGS_FOR_VECTORS = {
     "decompose_weight": (lambda: decompose_weight(F, "0011"), PreconditionError),
     "from_points": (lambda: LatticePolytope.from_points(["12", "34"]), ValueError),
     "in_convex_hull": (lambda: in_convex_hull("11", ["00", "22"]), ValueError),
+    "in_convex_hull-point": (lambda: in_convex_hull("11", [(0, 0), (2, 2)]), ValueError),
+    "contains": (lambda: SQUARE.contains("11"), ValueError),
+    "shoelace_area": (lambda: shoelace_area(["00", "20", "02"]), ValueError),
     "generators": (lambda: minimal_semigroup_generators(["10", "01", "11"]), ValueError),
     "global_nok_cone": (lambda: global_nok_cone(DP, "11100"), ValueError),
     "grading_image": (lambda: grading_image(F, ["2111"]), ValueError),
@@ -717,6 +720,17 @@ NON_NUMBER_ENTRIES = {
     "classify_weight-inf": (lambda: classify_weight(F, [INF, 0, 0, 0]), PreconditionError, "inf"),
     "cone-inf": (lambda: cone(F, [INF, 2]), PreconditionError, "inf"),
     "canonical_point-inf": (lambda: canonical_point([INF]), ValueError, "inf"),
+    "contains": (lambda: SQUARE.contains((None, 1)), ValueError, "None"),
+    "contains-inf": (lambda: SQUARE.contains((INF, 1)), ValueError, "inf"),
+    "contains-zero-denominator": (lambda: SQUARE.contains(("1/0", 1)), ValueError, "'1/0'"),
+    "in_convex_hull-point": (
+        lambda: in_convex_hull((None, 1), [(0, 0), (2, 2)]), ValueError, "None"
+    ),
+    "shoelace_area": (lambda: shoelace_area([(None, 1), (0, 0), (1, 0)]), ValueError, "None"),
+    "shoelace_area-inf": (lambda: shoelace_area([(INF, 1), (0, 0), (1, 0)]), ValueError, "inf"),
+    "shoelace_area-zero-denominator": (
+        lambda: shoelace_area([("1/0", 1), (0, 0), (1, 0)]), ValueError, "'1/0'"
+    ),
     # "1/0" is a numeric string whose Fraction() raises ZeroDivisionError
     "Term-coefficient-zero-denominator": (lambda: Term("1/0", [1]), ValueError, "'1/0'"),
     "Term-zero-denominator": (lambda: Term(1, ["1/0"]), ValueError, "'1/0'"),

@@ -8,7 +8,6 @@ its stdout, which pins every document's key order, and on exit 2 or 3 the
 ``code`` of its one-line stderr error.  The benchmark files are only read.
 """
 
-import argparse
 import json
 import sys
 from pathlib import Path
@@ -51,7 +50,7 @@ def test_every_command_has_a_recorded_answer():
         for r in workloads.pool(workload)
         if not r.contract_only
     }
-    (sub,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    assert commands == set(sub.choices)
-    for name, parser in sub.choices.items():
+    _, parsers = cli._parsers()
+    assert commands == set(parsers)
+    for name, parser in parsers.items():
         assert parser.get_default("handler") is getattr(cli, f"_cmd_{name}")

@@ -2,10 +2,10 @@
 
 Each is built by position and by keyword, compares and hashes by the fields
 it shows, shows them in its repr, and refuses assignment and deletion.  The
-twelve plain records take their initializer from the shared base, which
-binds the arguments to the fields and refuses a bad call with TypeError
-naming the class; only the four that check or derive their arguments
-define their own.
+twelve plain records take an initializer that the shared base compiles from
+their fields, so Python binds the arguments and refuses a bad call with its
+own TypeError naming the class; only the four that check or derive their
+arguments write their own.
 """
 
 import inspect
@@ -180,21 +180,35 @@ PLAIN = [param for param in VALUES if param.values[0] not in CHECKING]
 def test_only_the_checking_records_define_an_initializer():
     assert len(PLAIN) == 12
     for cls in (param.values[0] for param in VALUES):
-        assert ("__init__" in vars(cls)) == (cls in CHECKING), cls.__name__
+        written = cls.__init__.__code__.co_filename == inspect.getfile(cls)
+        assert written == (cls in CHECKING), cls.__name__
+    for cls, fields, *_ in (param.values for param in PLAIN):
+        assert tuple(inspect.signature(cls).parameters) == tuple(fields) == cls._fields
+
+
+def _missing(names):
+    """CPython's text for the required arguments a call leaves out: 'a';
+    'a' and 'b'; 'a', 'b', and 'c'."""
+    quoted = [repr(name) for name in names]
+    if len(quoted) > 1:
+        quoted[-1] = f"and {quoted[-1]}"
+    listed = (", " if len(quoted) > 2 else " ").join(quoted)
+    plural = "s" if len(names) > 1 else ""
+    return f"missing {len(names)} required positional argument{plural}: {listed}"
 
 
 @pytest.mark.parametrize("cls, fields, shown, alternatives", PLAIN)
 def test_a_bad_call_raises_type_error_naming_the_class(cls, fields, shown, alternatives):
     names, values = list(fields), list(fields.values())
     n = len(names)
-    everything = ", ".join(map(repr, names))
     bad_calls = [
-        (lambda: cls(*values[:-1]), f"missing required arguments: {names[-1]!r}"),
-        (lambda: cls(), f"missing required arguments: {everything}"),
-        (lambda: cls(*values, OTHER), f"takes {n} arguments but {n + 1} were given"),
+        (lambda: cls(*values[:-1]), _missing(names[-1:])),
+        (lambda: cls(), _missing(names)),
+        (lambda: cls(*values, OTHER), f"takes {n + 1} positional arguments but {n + 2} were given"),
         (lambda: cls(**fields, extra=OTHER), "got an unexpected keyword argument 'extra'"),
         (lambda: cls(*values[:1], **fields), f"got multiple values for argument {names[0]!r}"),
     ]
     for call, problem in bad_calls:
-        with pytest.raises(TypeError, match=f"^{re.escape(f'{cls.__name__}() {problem}')}$"):
+        text = f"{cls.__name__}.__init__() {problem}"
+        with pytest.raises(TypeError, match=f"^{re.escape(text)}$"):
             call()
