@@ -3,15 +3,16 @@
 The parser declares each command: its subparser names the handler that runs
 it and marks the options it cannot run without as required, so argparse
 reports a missing one.  Each handler is a thin adapter: ``polynomial`` reads
-the numbers in its option values, which reach the library already canonical;
-it runs one library operation, and builds that operation's JSON document
-from the library's values, with its keys in a fixed order.  ``trop`` reads
-the fan's sweep of the term subsets itself, so it builds no cone object
-only to read it back.  ``run`` puts ``schema_version`` first and prints the
-document with ``serialize.dumps`` (or as a human table with --format
-table).  Exit status: 0 on success, 2 for input or validation errors, 3
-for violated operation preconditions.  Errors are reported as one-line JSON
-documents on standard error.
+the numbers in its option values and holds each list of vectors to one
+length, so they reach the library already canonical; it runs one library
+operation, and builds that operation's JSON document from the library's
+values, with its keys in a fixed order.  ``trop`` reads the fan's sweep of
+the term subsets itself, so it builds no cone object only to read it back.
+``run`` puts ``schema_version`` first and prints the document with
+``serialize.dumps`` (or as a human table with --format table).  Exit
+status: 0 on success, 2 for input or validation errors, 3 for violated
+operation preconditions.  Errors are reported as one-line JSON documents on
+standard error.
 
 ``run`` builds the parser once per process.  When the first argument names
 a command, that command's own parser reads the rest, as the full parser
@@ -61,10 +62,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _read(values, name: str, reader=polynomial.canonical_point) -> tuple:
-    """Option ``name``'s values read by ``reader``; its ValueError is a UsageError."""
+def _read(values, name: str, reader, *args):
+    """Option ``name``'s values read by ``reader(values, *args)``; a ValueError is a UsageError."""
     try:
-        return reader(values)
+        return reader(values, *args)
     except ValueError as exc:
         raise UsageError(f"{name}: {exc}") from exc
 
@@ -73,18 +74,20 @@ def _split(text: str) -> list[str]:
     return [p for p in text.split(",") if p.strip()]
 
 
-def _parse_vector(text: str, name: str) -> tuple:
+def _parse_vector(text: str, name: str, n: Optional[int] = None) -> tuple:
     parts = _split(text)
     if not parts:
         raise UsageError("empty vector")
-    return _read(parts, name)
+    return _read([parts], name, polynomial.canonical_points, n)[0]
 
 
-def _parse_rows(text: str, name: str) -> list[tuple]:
-    rows = [r for r in text.split(";") if r.strip()]
+def _parse_rows(text: str, name: str, n: Optional[int] = None) -> list[tuple]:
+    rows = [_split(r) for r in text.split(";") if r.strip()]
     if not rows:
         raise UsageError("empty row list")
-    return [_parse_vector(r, name) for r in rows]
+    if not all(rows):
+        raise UsageError("empty vector")
+    return _read(rows, name, polynomial.canonical_points, n)
 
 
 def _load_points(path: str) -> list[tuple]:
@@ -98,9 +101,9 @@ def _load_points(path: str) -> list[tuple]:
     if not isinstance(data, list) or not all(isinstance(p, list) for p in data):
         raise UsageError("points file must hold a JSON list of point lists")
     # each value is read as the text JSON gave it, so 0.1 is 1/10, not a double
-    points = [_read([str(x) for x in p], "--points") for p in data]
-    if not points or len({len(p) for p in points}) != 1:
-        raise UsageError("points file must hold same-length, nonempty points")
+    points = _read([[str(x) for x in p] for p in data], "--points", polynomial.canonical_points)
+    if not points:
+        raise UsageError("points file must hold at least one point")
     return points
 
 
@@ -112,13 +115,10 @@ def _polynomial(args) -> SparsePolynomial:
 def _constraints(args) -> tuple[list, int]:
     if args.eq_rows is None or args.eq_targets is None or args.dim is None:
         raise UsageError("--eq-rows, --eq-targets and --dim are required together")
-    rows = _parse_rows(args.eq_rows, "--eq-rows")
-    targets = _parse_vector(args.eq_targets, "--eq-targets")
-    if len(rows) != len(targets):
-        raise UsageError("one target per constraint row is required")
-    if any(len(r) != args.dim for r in rows):
-        raise UsageError("constraint rows must have --dim entries")
-    return list(zip(rows, targets)), args.dim
+    (n,) = _read([args.dim], "--dim", polynomial._exact_ints)
+    rows = _parse_rows(args.eq_rows, "--eq-rows", n)
+    targets = _parse_vector(args.eq_targets, "--eq-targets", len(rows))
+    return list(zip(rows, targets)), n
 
 
 def _cmd_check(args) -> dict:
@@ -253,8 +253,7 @@ def _cmd_project(args) -> dict:
             raise PreconditionError("the equality polytope is empty")
         if rays:
             raise PreconditionError("the equality polytope is unbounded")
-    if any(len(r) != len(points[0]) for r in rows):
-        raise UsageError("projection rows must match the point dimension")
+    rows = _read(rows, "--rows", polynomial.canonical_points, len(points[0]))
     return _body(okounkov.projected_body(points, rows))
 
 
@@ -302,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, _cmd_graded, polynomial=False)
     p.add_argument("--eq-rows", dest="eq_rows", help="rows 'a,b,...;c,d,...'")
     p.add_argument("--eq-targets", dest="eq_targets", help="one target per row")
-    p.add_argument("--dim", type=int, help="number of variables")
+    p.add_argument("--dim", help="number of variables")
 
     p = sub.add_parser("project", help="project polytope vertices to a planar body")
     common(p, _cmd_project, polynomial=False)
@@ -310,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", required=True, help="projection rows 'a,b,...;c,d,...'")
     p.add_argument("--eq-rows", dest="eq_rows", help="equality rows defining P")
     p.add_argument("--eq-targets", dest="eq_targets", help="equality targets")
-    p.add_argument("--dim", type=int, help="ambient dimension of P")
+    p.add_argument("--dim", help="ambient dimension of P")
 
     return parser
 

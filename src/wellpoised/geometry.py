@@ -10,7 +10,8 @@ enumeration then read the facets: no floating point and no linear program.
 Lattice enumeration solves the affine-hull equations for their free
 coordinates inside the bounding box, with the integer-point kernel of
 ``linalg``, and the facets keep the points of the polytope.  Points are read
-by ``polynomial.canonical_point``; the faces of a Newton polytope, which the
+by ``polynomial.canonical_points``, which also holds them to one length (two
+for the planar hull and area); the faces of a Newton polytope, which the
 cones of the tropical fan give, are built in ``fan``.
 """
 
@@ -28,6 +29,7 @@ from .polynomial import (
     SparsePolynomial,
     _Frozen,
     canonical_point,
+    canonical_points,
     graded_lex_key,
 )
 
@@ -62,12 +64,10 @@ class LatticePolytope(_Frozen):
     def from_points(cls, points: Iterable[Sequence]) -> "LatticePolytope":
         """The polytope conv(points): a point is a vertex exactly when the
         facets through it meet in no other point."""
-        pts = sorted({canonical_point(p) for p in points}, key=graded_lex_key)
+        pts = sorted(set(canonical_points(points)), key=graded_lex_key)
         if not pts:
             raise PreconditionError("a polytope needs at least one point")
         n = len(pts[0])
-        if any(len(p) != n for p in pts):
-            raise PreconditionError("points of mixed dimensions")
         equations, facets, masks = linalg.double_description([(*p, 1) for p in pts])
         # meet[i]: the points on every facet through point i; each mask is
         # read once, bit by bit, into the entry of every point on its facet
@@ -82,14 +82,13 @@ class LatticePolytope(_Frozen):
         return cls(n, verts, equations, facets)
 
     def contains(self, point: Sequence) -> bool:
-        point = canonical_point(point)
-        if len(point) != self.n:
-            raise PreconditionError("the point and the polytope differ in dimension")
+        (point,) = canonical_points([point], self.n)
         return linalg.in_cone(self.equations, self.facets, (*point, 1))
 
 
 def in_convex_hull(point: Sequence, generators: Sequence[Sequence]) -> bool:
     """Exact test for point in conv(generators), on the facets of their hull."""
+    point = canonical_point(point)  # refused even when there are no generators
     gens = list(generators)
     if not gens:
         return False
@@ -158,20 +157,13 @@ def _cross(o: Point, a: Point, b: Point):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _planar(points: Iterable[Sequence]) -> list[Point]:
-    pts = [canonical_point(p) for p in points]
-    if any(len(p) != 2 for p in pts):
-        raise PreconditionError("a planar hull needs points with two coordinates")
-    return pts
-
-
 def convex_hull_2d(points: Iterable[Sequence], keep_boundary: bool = False) -> list[Point]:
     """Monotone-chain hull cycle, counter-clockwise from the lex-min point.
 
     With keep_boundary=True, input points lying on hull edges are kept in
     traversal order instead of being eliminated as collinear.
     """
-    pts = sorted(set(_planar(points)))
+    pts = sorted(set(canonical_points(points, 2)))
     if len(pts) <= 2:
         return pts
 
@@ -197,6 +189,6 @@ def convex_hull_2d(points: Iterable[Sequence], keep_boundary: bool = False) -> l
 
 def shoelace_area(cycle: Sequence[Point]) -> Fraction:
     """Exact area of a polygon given as a closed vertex cycle."""
-    pts = _planar(cycle)
+    pts = canonical_points(cycle, 2)
     total = sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]))
     return abs(Fraction(total)) / 2

@@ -27,6 +27,7 @@ from .polynomial import (
     _Frozen,
     _term_subset,
     canonical_point,
+    canonical_points,
     graded_lex_key,
 )
 
@@ -90,9 +91,7 @@ def minimal_semigroup_generators(vectors: Iterable[Sequence]) -> tuple[Point, ..
     generators h with integers c_h >= 0; phi bounds each c_h, and the
     integer-point kernel stops at the first such c.
     """
-    gens = sorted({canonical_point(v) for v in vectors}, key=graded_lex_key)
-    if any(len(g) != len(gens[0]) for g in gens):
-        raise PreconditionError("generators of mixed dimensions")
+    gens = sorted(set(canonical_points(vectors)), key=graded_lex_key)
     # with no generators the sum of no facets is (): no functional either
     phi = _positive_functional(gens, linalg.double_description(gens)[1])
     if not phi:
@@ -123,9 +122,7 @@ def grading_image(
     """Image of each variable under the grading rows (default: lineality basis)."""
     if rows is None:
         rows = lineality_basis(f).rows
-    rows = [canonical_point(r) for r in rows]
-    if any(len(r) != f.n for r in rows):
-        raise PreconditionError("grading rows must have one entry per variable")
+    rows = canonical_points(rows, f.n)
     degrees = tuple(tuple(row[j] for row in rows) for j in range(f.n))
     return GradingImage(degrees, minimal_semigroup_generators(degrees))
 
@@ -199,10 +196,7 @@ def global_nok_cone(
     The returned vectors generate the global body's cone over the
     non-negative rationals.
     """
-    row = canonical_point(extra_row)
-    if len(row) != f.n:
-        raise PreconditionError("extra row length differs from variable count")
-    rows = (*lineality_basis(f).rows, row)
+    rows = (*lineality_basis(f).rows, *canonical_points([extra_row], f.n))
     return tuple(tuple(r[j] for r in rows) for j in range(f.n))
 
 
@@ -210,9 +204,7 @@ def _split_constraints(constraints: Sequence[Constraint], n: int) -> tuple[list,
     """The rows and the targets of the equalities, each row of length n."""
     if not constraints:
         raise PreconditionError("at least one constraint row is required")
-    rows = [canonical_point(row) for row, _ in constraints]
-    if any(len(row) != n for row in rows):
-        raise PreconditionError("constraint row length differs from dimension")
+    rows = canonical_points([row for row, _ in constraints], n)
     return rows, canonical_point([t for _, t in constraints])
 
 
@@ -285,12 +277,10 @@ def projected_body(points: Sequence[Sequence], rows: Sequence[Sequence]) -> Okou
     Planar images come back with the canonical boundary cycle and exact area;
     higher-dimensional images carry hull vertices only.
     """
-    pts = [canonical_point(p) for p in points]
+    pts = canonical_points(points)
     if not pts:
         raise PreconditionError("projection needs at least one point")
-    proj = [canonical_point(row) for row in rows]
+    proj = canonical_points(rows, len(pts[0]))
     if not proj:
         raise PreconditionError("projection needs at least one row")
-    if any(len(x) != len(pts[0]) for x in (*pts, *proj)):
-        raise PreconditionError("projection rows and points differ in length")
     return _make_body([tuple(sum(map(mul, row, p)) for row in proj) for p in pts])

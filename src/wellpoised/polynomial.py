@@ -9,9 +9,10 @@ terms have pairwise disjoint supports and every pair of exponent vectors has
 joint gcd 1.  No factoring over any field is ever attempted.
 
 Every number or vector that a caller or the command line passes to a library
-operation is read here, by ``_fraction`` and ``canonical_point``: a finite
-number or a numeric string within int()'s digit limit is read exactly, and
-anything else, a bare string given for a vector included, raises ValueError.
+operation is read here, by ``_fraction``, ``canonical_point`` and, for a list
+of vectors of one length, ``canonical_points``: a finite number or a numeric
+string within int()'s digit limit is read exactly, and anything else, a bare
+string given for a vector included, raises ValueError.
 
 The value types of every layer derive from ``_Frozen``, defined here because
 every other layer imports this one.  A subclass names its fields in
@@ -149,6 +150,21 @@ def canonical_point(point: Iterable) -> tuple:
             x = q.numerator if q.denominator == 1 else q
         out.append(x)
     return tuple(out)
+
+
+def canonical_points(vectors: Iterable, n: Optional[int] = None) -> list[tuple]:
+    """Each vector read by ``canonical_point``, all of length n, or of the
+    first one's length when n is None.  The first of another length raises
+    PreconditionError "vector i has length m, expected n", i from 1."""
+    points = []
+    for i, v in enumerate(vectors, 1):
+        p = canonical_point(v)
+        if len(p) != n:
+            if n is not None:
+                raise PreconditionError(f"vector {i} has length {len(p)}, expected {n}")
+            n = len(p)
+        points.append(p)
+    return points
 
 
 def _exact_ints(values: Iterable) -> tuple[int, ...]:
@@ -364,12 +380,9 @@ def to_string(f: SparsePolynomial) -> str:
 
 def weight_vector(values: Sequence, n: int) -> tuple:
     try:
-        w = canonical_point(values)
+        return canonical_points([values], n)[0]
     except ValueError as exc:
         raise PreconditionError(f"weight: {exc}") from exc
-    if len(w) != n:
-        raise PreconditionError(f"weight has length {len(w)}, expected {n}")
-    return w
 
 
 def weighted_degrees(f: SparsePolynomial, weight: Sequence) -> tuple[list[Fraction], Fraction]:

@@ -198,6 +198,16 @@ def test_integer_options_follow_the_library_integer_rule(capsys):
         assert code == 2
         messages.add(json.loads(err)["error"]["message"].split(":")[0])
     assert messages == {"--S", "--degree"}
+    # --dim follows the same rule
+    graded = ["graded", "--eq-rows", "1,1", "--eq-targets", "2", "--dim"]
+    code, out, err = run_cli(capsys, graded + ["2"])
+    assert code == 0 and err == ""
+    for spelling in ("4/2", "2.0"):
+        assert run_cli(capsys, graded + [spelling]) == (0, out, "")
+    code, out, err = run_cli(capsys, graded + ["5/2"])
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "validation_error" and error["message"].startswith("--dim:")
     # an empty list reaches the library, which refuses it
     for argv in (matrix + [","], nok[:4] + ["--S", ",", "--degree", ","]):
         code, out, err = run_cli(capsys, argv)
@@ -297,7 +307,28 @@ def test_project_rejects_ragged_points_file(capsys, tmp_path):
     path.write_text(json.dumps([[1, 2], [1, 2, 3]]))
     code, _, err = run_cli(capsys, ["project", "--points", str(path), "--rows", "1,0"])
     assert code == 2
-    assert json.loads(err)["error"]["code"] == "validation_error"
+    error = json.loads(err)["error"]
+    assert error["code"] == "validation_error"
+    assert error["message"] == "--points: vector 2 has length 3, expected 2"
+
+
+def test_vectors_of_another_length_name_their_option(capsys):
+    eq = ["--eq-rows", "1,1", "--eq-targets", "1", "--dim", "2"]
+    for option, argv in (
+        # a row of another length than --dim, or than the other rows
+        ("--eq-rows", ["graded", "--eq-rows", "1,1,1", "--eq-targets", "2", "--dim", "2"]),
+        ("--eq-rows", ["graded", "--eq-rows", "1,1;1", "--eq-targets", "2,1", "--dim", "2"]),
+        # one target per row
+        ("--eq-targets", ["graded", "--eq-rows", "1,1", "--eq-targets", "2,1", "--dim", "2"]),
+        # projection rows of another length than the points, or than each other
+        ("--rows", ["project", "--rows", "1,1,1", *eq]),
+        ("--rows", ["project", "--rows", "1,1;1", *eq]),
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        error = json.loads(err)["error"]
+        assert error["code"] == "validation_error"
+        assert error["message"].startswith(option + ": vector "), argv
 
 
 def test_project_reads_each_points_file_value_exactly(capsys, tmp_path):

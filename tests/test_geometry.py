@@ -345,10 +345,14 @@ def test_convex_hull_2d_boundary_keeps_edge_points():
 
 
 def test_convex_hull_2d_refuses_points_that_are_not_planar():
-    for pts in ([(1,), (0,), (2,)], [(1, 2, 3), (0, 0, 0), (1, 1, 1)], [(0, 0), (1, 0, 0)]):
-        with pytest.raises(PreconditionError, match="two coordinates"):
+    for pts, message in (
+        ([(1,), (0,), (2,)], "vector 1 has length 1, expected 2"),
+        ([(1, 2, 3), (0, 0, 0), (1, 1, 1)], "vector 1 has length 3, expected 2"),
+        ([(0, 0), (1, 0, 0)], "vector 2 has length 3, expected 2"),
+    ):
+        with pytest.raises(PreconditionError, match=message):
             convex_hull_2d(pts)
-        with pytest.raises(PreconditionError, match="two coordinates"):
+        with pytest.raises(PreconditionError, match=message):
             shoelace_area(pts)
 
 

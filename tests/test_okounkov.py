@@ -36,7 +36,8 @@ from wellpoised import (
     variable_valuations,
 )
 from wellpoised import linalg, okounkov
-from wellpoised.polynomial import canonical_point
+from wellpoised.geometry import extreme_points
+from wellpoised.polynomial import canonical_point, canonical_points
 from oracles import (
     minimal_generators_by_closure,
     nonnegative_solutions_by_box,
@@ -181,7 +182,7 @@ def test_minimal_semigroup_generators():
     with pytest.raises(PreconditionError):
         minimal_semigroup_generators([(1, 0), (-1, 0)])
     # (1,) is not 1 * (1, 0): generators of two lengths are refused
-    with pytest.raises(PreconditionError, match="generators of mixed dimensions"):
+    with pytest.raises(PreconditionError, match="vector 2 has length 1, expected 2"):
         minimal_semigroup_generators([(1, 0), (1,)])
 
 
@@ -681,6 +682,7 @@ STRINGS_FOR_VECTORS = {
     "from_points": (lambda: LatticePolytope.from_points(["12", "34"]), ValueError),
     "in_convex_hull": (lambda: in_convex_hull("11", ["00", "22"]), ValueError),
     "in_convex_hull-point": (lambda: in_convex_hull("11", [(0, 0), (2, 2)]), ValueError),
+    "in_convex_hull-empty": (lambda: in_convex_hull("11", []), ValueError),
     "contains": (lambda: SQUARE.contains("11"), ValueError),
     "shoelace_area": (lambda: shoelace_area(["00", "20", "02"]), ValueError),
     "generators": (lambda: minimal_semigroup_generators(["10", "01", "11"]), ValueError),
@@ -726,6 +728,7 @@ NON_NUMBER_ENTRIES = {
     "in_convex_hull-point": (
         lambda: in_convex_hull((None, 1), [(0, 0), (2, 2)]), ValueError, "None"
     ),
+    "in_convex_hull-empty": (lambda: in_convex_hull((None, 1), []), ValueError, "None"),
     "shoelace_area": (lambda: shoelace_area([(None, 1), (0, 0), (1, 0)]), ValueError, "None"),
     "shoelace_area-inf": (lambda: shoelace_area([(INF, 1), (0, 0), (1, 0)]), ValueError, "inf"),
     "shoelace_area-zero-denominator": (
@@ -757,6 +760,43 @@ NON_NUMBER_ENTRIES = {
 def test_a_non_number_entry_raises_value_error(name):
     call, error, shown = NON_NUMBER_ENTRIES[name]
     with pytest.raises(error, match=f"{shown} is not a number"):
+        call()
+
+
+# Each call passes a ragged list of vectors, or a vector of another length
+# than the call expects.  ``canonical_points`` refuses it with one message,
+# "vector i has length m, expected n", naming the first vector that differs
+# by its 1-based position; a weight's message starts with "weight: ".
+MISMATCHED_LENGTHS = {
+    "canonical_points": (lambda: canonical_points([(1, 2), (3,)]), 2, 1, 2),
+    "canonical_points-n": (lambda: canonical_points([(1, 2)], 3), 1, 2, 3),
+    "classify_weight": (lambda: classify_weight(F, (1, 2)), 1, 2, 4),
+    "initial_form": (lambda: initial_form(F, (1, 2, 3, 4, 5)), 1, 5, 4),
+    "decompose_weight": (lambda: decompose_weight(F, (0, 1)), 1, 2, 4),
+    "from_points": (lambda: LatticePolytope.from_points([(0, 0), (1,)]), 2, 1, 2),
+    "extreme_points": (lambda: extreme_points([(0, 0, 0), (1, 1)]), 2, 2, 3),
+    "contains": (lambda: SQUARE.contains((1, 1, 1)), 1, 3, 2),
+    "in_convex_hull": (lambda: in_convex_hull((1, 1), [(0, 0), (2, 2, 2)]), 2, 3, 2),
+    "in_convex_hull-point": (lambda: in_convex_hull((1,), [(0, 0), (2, 2)]), 1, 1, 2),
+    "convex_hull_2d": (lambda: convex_hull_2d([(0, 0), (1, 0), (0, 1, 1)]), 3, 3, 2),
+    "shoelace_area": (lambda: shoelace_area([(0, 0, 0)]), 1, 3, 2),
+    "generators": (lambda: minimal_semigroup_generators([(1, 0), (1,)]), 2, 1, 2),
+    "grading_image": (lambda: grading_image(F, [(1, 1, 1, 1), (1, 1)]), 2, 2, 4),
+    "global_nok_cone": (lambda: global_nok_cone(DP, (1, 1, 1)), 1, 3, 5),
+    "graded_component": (lambda: graded_component([((1, 1), 2), ((1, 1, 1), 3)], 2), 2, 3, 2),
+    "equality_polytope_vertices": (lambda: equality_polytope_vertices([((1,), 2)], 2), 1, 1, 2),
+    "projected_body-points": (lambda: projected_body([(0, 0), (1, 0, 0)], [(1, 0)]), 2, 3, 2),
+    "projected_body-rows": (
+        lambda: projected_body([(0, 0), (1, 1)], [(1, 0), (1, 1, 0)]), 2, 3, 2
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(MISMATCHED_LENGTHS))
+def test_a_vector_of_another_length_raises_precondition_error(name):
+    call, i, m, n = MISMATCHED_LENGTHS[name]
+    message = f"^(weight: )?vector {i} has length {m}, expected {n}$"
+    with pytest.raises(PreconditionError, match=message):
         call()
 
 
