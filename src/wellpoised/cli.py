@@ -77,16 +77,16 @@ def _split(text: str) -> list[str]:
 def _parse_vector(text: str, name: str, n: Optional[int] = None) -> tuple:
     parts = _split(text)
     if not parts:
-        raise UsageError("empty vector")
+        raise UsageError(f"{name}: empty vector")
     return _read([parts], name, polynomial.canonical_points, n)[0]
 
 
 def _parse_rows(text: str, name: str, n: Optional[int] = None) -> list[tuple]:
     rows = [_split(r) for r in text.split(";") if r.strip()]
     if not rows:
-        raise UsageError("empty row list")
+        raise UsageError(f"{name}: empty row list")
     if not all(rows):
-        raise UsageError("empty vector")
+        raise UsageError(f"{name}: empty vector")
     return _read(rows, name, polynomial.canonical_points, n)
 
 
@@ -171,7 +171,7 @@ def _cmd_trop(args) -> dict:
 
     f = _polynomial(args)
     if args.classify is not None:
-        weight = _parse_vector(args.classify, "--classify")
+        weight = _parse_vector(args.classify, "--classify", f.n)
         subset = fan.classify_weight(f, weight)
         return {
             "weight": weight,
@@ -215,7 +215,7 @@ def _cmd_nok(args) -> dict:
 
     f = _polynomial(args)
     if args.cone_row is not None:
-        row = _parse_vector(args.cone_row, "--cone-row")
+        row = _parse_vector(args.cone_row, "--cone-row", f.n)
         return {"extra_row": row, "generators": okounkov.global_nok_cone(f, row)}
     if args.S is None or args.degree is None:
         raise UsageError("either --cone-row or both --S and --degree are required")

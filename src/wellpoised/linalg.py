@@ -3,10 +3,12 @@
 Inputs are plain sequences of ``fractions.Fraction`` (or ints).  The systems
 in this package are tiny, so Gauss-Jordan elimination, one polyhedral kernel
 (double description: the equations and facets of the cone some vectors
-generate) and one integer-point kernel (a pruned depth-first search over
-the free columns whose last one steps through the one residue class that
-leaves every pivot whole, the only integer search in the package; a fully
-determined system is settled at the root) run exactly instead of through
+generate) and one integer-point kernel (a pruned depth-first search that
+takes the columns with the widest bounds as pivots and fixes the free ones
+narrowest first, so the last and widest steps through the one residue
+class that leaves every pivot whole; each point comes once, in no promised
+order; the only integer search in the package, and a fully determined
+system is settled at the root) run exactly instead of through
 floating-point solvers: every answer is exact and every certificate is
 checkable.  All of them share one pivot step that runs fraction-free on
 integer rows (each row scaled by the lcm of its denominators,
@@ -166,30 +168,39 @@ def in_cone(equations: Sequence[Row], facets: Sequence[Row], v: Sequence[Scalar]
 
 
 def integer_points(rows, rhs, bounds) -> Iterator[tuple[int, ...]]:
-    """Yield the integer x with rows . x = rhs and lo <= x[j] <= hi for each
-    (lo, hi) in bounds, in lexicographic order of the free coordinates.
+    """Yield each integer x with rows . x = rhs and lo <= x[j] <= hi for each
+    (lo, hi) in bounds, once; the order is not promised.
 
-    A depth-first search (project and lift) fixes the free columns of the
-    rref of [rows | rhs] one at a time.  It narrows each free coordinate's
-    range to the values that still let every pivot coordinate land inside
-    its bounds, given the terms already fixed and the least and greatest
-    sums the later terms can take.  Once the other free columns are fixed,
-    each integer-scaled pivot row den * x[c] + a * v = r asks a * v = r
-    (mod den) of the last free coordinate v.  These congruences fold into
-    one class v = start (mod step) (the generalised Chinese remainder
-    theorem), so the last column walks that class upward through its range
-    and reads each pivot coordinate as an exact quotient; an inconsistent
-    class leaves nothing.  A system with no free column is settled at the
-    root: its one point comes out when every pivot divides its target.
+    The search picks its own columns, so its cost does not hang on the
+    order the caller lists them in.  The echelon of [rows | rhs] takes the
+    columns widest bound first (ties in input order), so the widest columns
+    become the pivots; a depth-first search (project and lift) then fixes
+    the free columns one at a time, narrowest bound first (ties by index),
+    so the widest free column comes last.  Every coordinate is written back
+    in its input position.  The search narrows each free coordinate's range
+    to the values that still let every pivot coordinate land inside its
+    bounds, given the terms already fixed and the least and greatest sums
+    the later terms can take.  Once the other free columns are fixed, each
+    integer-scaled pivot row den * x[c] + a * v = r asks a * v = r (mod den)
+    of the last free coordinate v.  These congruences fold into one class
+    v = start (mod step) (the generalised Chinese remainder theorem), so the
+    last column walks that class upward through its range and reads each
+    pivot coordinate as an exact quotient; an inconsistent class leaves
+    nothing.  A system with no free column is settled at the root: its one
+    point comes out when every pivot divides its target.
     """
     n = len(bounds)
-    reduced, pivots = echelon([[*row, b] for row, b in zip(rows, rhs)])
+    width = [hi - lo for lo, hi in bounds]
+    order = sorted(range(n), key=lambda j: -width[j])
+    reduced, pivots = echelon([[*(row[j] for j in order), b] for row, b in zip(rows, rhs)])
     if n in pivots:  # pivot in the rhs column: inconsistent
         return
-    free = [j for j in range(n) if j not in pivots]
+    # echelon positions; among equal widths they follow the input order
+    free = sorted((c for c in range(n) if c not in pivots), key=lambda c: width[order[c]])
     # den * x[c] + coeffs . x[free] = b, with den = s[c] > 0
     dens = [s[c] for s, c in zip(reduced, pivots)]
-    coeffs = [[s[j] for s in reduced] for j in free]
+    coeffs = [[s[c] for s in reduced] for c in free]
+    pivots, free = [order[c] for c in pivots], [order[c] for c in free]
     # reach[t]: per pivot row, the least and greatest values that
     # den * x[c] plus the terms of free columns t, t+1, ... take in the bounds
     reach = [[(d * bounds[c][0], d * bounds[c][1]) for d, c in zip(dens, pivots)]]
@@ -247,7 +258,9 @@ def integer_points(rows, rhs, bounds) -> Iterator[tuple[int, ...]]:
     if free:
         yield from search(0, b)
     elif all(r % d == 0 for d, r in zip(dens, b)):
-        yield tuple(r // d for d, r in zip(dens, b))
+        for c, d, r in zip(pivots, dens, b):
+            x[c] = r // d
+        yield tuple(x)
 
 
 def primitive_integer(vec: Sequence[int]) -> tuple[int, ...]:

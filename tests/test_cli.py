@@ -323,12 +323,33 @@ def test_vectors_of_another_length_name_their_option(capsys):
         # projection rows of another length than the points, or than each other
         ("--rows", ["project", "--rows", "1,1,1", *eq]),
         ("--rows", ["project", "--rows", "1,1;1", *eq]),
+        # a weight or an extra cone row of another length than the variables
+        ("--classify", ["trop", "x+y^2+z*w", "--vars", "x,y,z,w", "--classify=1,2,3"]),
+        ("--classify", ["trop", "x+y", "--vars", "x,y", "--classify=1,2,3"]),
+        ("--cone-row", ["nok", "x+y^2+z*w", "--vars", "x,y,z,w", "--cone-row", "1,1"]),
     ):
         code, out, err = run_cli(capsys, argv)
         assert code == 2 and out == "" and err.count("\n") == 1
         error = json.loads(err)["error"]
         assert error["code"] == "validation_error"
         assert error["message"].startswith(option + ": vector "), argv
+
+
+def test_empty_vectors_name_their_option(capsys):
+    graded, eq = ["graded", "--dim", "2"], ["--eq-rows", "1,1", "--eq-targets", "1", "--dim", "2"]
+    for message, argv in (
+        # _parse_rows: a row with no entry, and no row at all
+        ("--eq-rows: empty vector", [*graded, "--eq-rows", "1,1;,", "--eq-targets", "2,1"]),
+        ("--eq-rows: empty row list", [*graded, "--eq-rows", ";", "--eq-targets", "2"]),
+        ("--rows: empty row list", ["project", "--rows", " ; ", *eq]),
+        # _parse_vector
+        ("--eq-targets: empty vector", [*graded, "--eq-rows", "1,1", "--eq-targets", ","]),
+        ("--classify: empty vector", ["trop", "x+y", "--vars", "x,y", "--classify=,"]),
+        ("--cone-row: empty vector", ["nok", "x+y", "--vars", "x,y", "--cone-row", " "]),
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert json.loads(err)["error"] == {"code": "validation_error", "message": message}, argv
 
 
 def test_project_reads_each_points_file_value_exactly(capsys, tmp_path):

@@ -14,7 +14,14 @@ from wellpoised import (
     minimal_semigroup_generators,
 )
 from wellpoised.okounkov import _positive_functional
-from oracles import gauss_solve_unique, rank_by_minors, row_space_equal, rref, simplex_fraction
+from oracles import (
+    gauss_solve_unique,
+    nonnegative_solutions_by_box,
+    rank_by_minors,
+    row_space_equal,
+    rref,
+    simplex_fraction,
+)
 
 
 def test_rref_identity_like():
@@ -439,14 +446,6 @@ def box_scan(rows, rhs, bounds):
     ]
 
 
-def free_order(rows, bounds):
-    """Sort key of the kernel's scan: the free coordinates of the rref of rows,
-    in column order (the order of a product scan over them)."""
-    pivots = rref(rows)[1]
-    free = [j for j in range(len(bounds)) if j not in pivots]
-    return lambda x: [x[j] for j in free]
-
-
 def test_integer_points_hand_cases():
     # 2x + 4y = 6 reduces to x = 3 - 2y, whole for every y; y runs upward
     assert list(linalg.integer_points([[2, 4]], [6], [(-5, 5), (-5, 5)])) == [
@@ -496,20 +495,21 @@ def test_integer_points_hand_cases():
 def test_integer_points_narrow_negative_free_columns():
     # x = 1 + 2y: the free y has coefficient -2 in x's row, and the bounds
     # on y are far wider than the 50 points
-    assert list(linalg.integer_points([[1, -2]], [1], [(0, 100), (-100, 100)])) == [
+    assert sorted(linalg.integer_points([[1, -2]], [1], [(0, 100), (-100, 100)])) == [
         (1 + 2 * y, y) for y in range(50)
     ]
     # x = z - y - 3 in [0, 2]: for each y, z runs over y+3..y+5 inside its bounds
     bounds = [(0, 2), (-50, 50), (-40, 60)]
     found = list(linalg.integer_points([[1, 1, -1]], [-3], bounds))
-    assert found == [
+    assert sorted(found) == sorted(
         (z - y - 3, y, z) for y in range(-50, 51) for z in range(y + 3, y + 6) if -40 <= z <= 60
-    ]
-    assert found == sorted(box_scan([[1, 1, -1]], [-3], bounds), key=lambda x: x[1:])
-    # the search is lazy: the first point of a huge box comes at once
+    )
+    assert sorted(found) == box_scan([[1, 1, -1]], [-3], bounds)
+    # the search is lazy: the first points of a huge box come at once
     points = linalg.integer_points([[1] * 6], [30], [(0, 10**6)] * 6)
-    assert next(points) == (30, 0, 0, 0, 0, 0)
-    assert next(points) == (29, 0, 0, 0, 0, 1)
+    first, second = next(points), next(points)
+    assert first != second
+    assert all(sum(x) == 30 and min(x) >= 0 for x in (first, second))
 
 
 def _random_system(rng, n, spread):
@@ -542,8 +542,8 @@ def test_integer_points_match_box_scan():
         rows, rhs, bounds = _random_system(rng, rng.randint(1, 4), 3)
         expected = box_scan(rows, rhs, bounds)
         found = list(linalg.integer_points(rows, rhs, bounds))
-        # the scan runs in the lexicographic order of the free coordinates
-        assert found == sorted(expected, key=free_order(rows, bounds))
+        # each point once (box_scan is already in lexicographic order)
+        assert sorted(found) == expected
         assert all(type(v) is int for x in found for v in x)
         nonempty += bool(expected)
         if rng.random() < 0.5:  # a caller-side filter keeps the scan order
@@ -563,7 +563,7 @@ def test_integer_points_match_box_scan_in_wide_bounds():
             continue
         expected = box_scan(rows, rhs, bounds)
         found = list(linalg.integer_points(rows, rhs, bounds))
-        assert found == sorted(expected, key=free_order(rows, bounds))
+        assert sorted(found) == expected
         nonempty += bool(expected)
     assert nonempty >= 20
 
@@ -616,7 +616,63 @@ def test_integer_points_step_through_residue_classes():
         rows, rhs, bounds = _congruence_system(rng)
         expected = box_scan(rows, rhs, bounds)
         found = list(linalg.integer_points(rows, rhs, bounds))
-        assert found == sorted(expected, key=free_order(rows, bounds))
+        assert sorted(found) == expected
         nonempty += bool(expected)
         empty += not expected
     assert nonempty >= 70 and empty >= 25
+
+
+def test_integer_points_follow_a_permutation_of_the_columns():
+    # the kernel picks its pivots by bound width, not by column position, so
+    # permuting the columns and their bounds permutes the point set exactly
+    rng = random.Random(37)
+    nonempty = 0
+    for i in range(120):
+        if i % 2:
+            rows, rhs, bounds = _congruence_system(rng)
+        else:
+            rows, rhs, bounds = _random_system(rng, rng.randint(2, 5), rng.choice([2, 6]))
+        n = len(bounds)
+        found = sorted(linalg.integer_points(rows, rhs, bounds))
+        perm = rng.sample(range(n), n)
+        permuted = [[row[j] for j in perm] for row in rows]
+        moved = list(linalg.integer_points(permuted, rhs, [bounds[j] for j in perm]))
+        assert sorted(moved) == sorted(tuple(x[j] for j in perm) for x in found)
+        assert len(set(moved)) == len(moved)
+        nonempty += bool(found)
+    assert nonempty >= 50
+
+
+def _many_row_system(rng):
+    """Four to six rows on eight to ten columns, each column one of four to
+    seven kinds whose first entry, a positive grade, caps the column and
+    whose other entries lie in -2..3 (columns of one kind trade places, so
+    a component often holds more than its planted point >= 0, from which
+    the targets come); redrawn until the box of the caps holds at most
+    2 * 10**4 points."""
+    while True:
+        n, k = rng.randint(8, 10), rng.randint(4, 6)
+        kinds = [
+            [rng.randint(1, 3), *(rng.randint(-2, 3) for _ in range(k - 1))]
+            for _ in range(rng.randint(4, 7))
+        ]
+        rows = [list(row) for row in zip(*(rng.choice(kinds) for _ in range(n)))]
+        point = [rng.choice([0, 0, 1, 1, 2]) for _ in range(n)]
+        targets = [sum(a * v for a, v in zip(row, point)) for row in rows]
+        caps = [targets[0] // w for w in rows[0]]
+        if math.prod(cap + 1 for cap in caps) <= 2 * 10**4:
+            return rows, targets, caps
+
+
+def test_many_row_graded_components_match_the_box_oracle():
+    rng = random.Random(41)
+    sizes = Counter()
+    for _ in range(12):
+        rows, targets, caps = _many_row_system(rng)
+        expected = nonnegative_solutions_by_box(rows, targets, caps)
+        found = list(linalg.integer_points(rows, targets, [(0, cap) for cap in caps]))
+        assert sorted(found) == expected
+        assert sorted(graded_component(list(zip(rows, targets)), len(caps))) == expected
+        sizes[len(expected) > 1] += 1
+    # every draw keeps its planted point; most keep others too
+    assert sizes[True] >= 8
