@@ -11,8 +11,8 @@ the term subsets itself, so it builds no cone object only to read it back.
 ``run`` puts ``schema_version`` first and prints the document with
 ``serialize.dumps`` (or as a human table with --format table).  Exit
 status: 0 on success, 2 for input or validation errors, 3 for violated
-operation preconditions.  Errors are reported as one-line JSON documents on
-standard error.
+operation preconditions and for a result number past int()'s digit limit.
+Errors are reported as one-line JSON documents on standard error.
 
 ``run`` builds the parser once per process.  When the first argument names
 a command, that command's own parser reads the rest, as the full parser
@@ -38,7 +38,6 @@ from .polynomial import (
     PreconditionError,
     SharedVariableWitness,
     SparsePolynomial,
-    initial_form,
     is_well_poised,
     parse,
     to_string,
@@ -93,14 +92,15 @@ def _parse_rows(text: str, name: str, n: Optional[int] = None) -> list[tuple]:
 def _load_points(path: str) -> list[tuple]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            # a float is kept as its text, so 0.1 is 1/10 and 1e400 is 10**400, not a double
+            data = json.load(handle, parse_float=str)
     except OSError as exc:
         raise UsageError(f"cannot read points file: {exc}") from exc
-    except ValueError as exc:  # bad JSON or UTF-8, or an integer too long for int()
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep, too long for int()
         raise UsageError(f"points file is not valid JSON: {exc}") from exc
     if not isinstance(data, list) or not all(isinstance(p, list) for p in data):
         raise UsageError("points file must hold a JSON list of point lists")
-    # each value is read as the text JSON gave it, so 0.1 is 1/10, not a double
+    # every value is read as its text, so a string is a number of its own and true is none
     points = _read([[str(x) for x in p] for p in data], "--points", polynomial.canonical_points)
     if not points:
         raise UsageError("points file must hold at least one point")
@@ -160,7 +160,7 @@ def _cmd_faces(args) -> dict:
         {
             "S": face.term_indices,
             "weight": face.supporting_weight,
-            "initial_form": to_string(initial_form(f, face.supporting_weight)),
+            "initial_form": to_string(f.restricted_to(face.term_indices)),
         }
         for face in fan.faces(f)
     ]}
@@ -342,6 +342,7 @@ def run(argv: Sequence[str]) -> int:
     try:
         args = _parse(list(argv))
         doc = {"schema_version": SCHEMA_VERSION, **args.handler(args)}
+        text = serialize.dumps(doc) if args.format == "json" else serialize.render_table(doc)
     except UsageError as exc:
         _emit_error("validation_error", str(exc))
         return EXIT_VALIDATION
@@ -351,11 +352,12 @@ def run(argv: Sequence[str]) -> int:
     except PreconditionError as exc:
         _emit_error("precondition_violation", str(exc))
         return EXIT_PRECONDITION
-    text = (
-        serialize.dumps(doc)
-        if args.format == "json"
-        else serialize.render_table(doc)
-    )
+    except ValueError as exc:  # int() writes no more than 4300 digits as text
+        if "integer string conversion" not in str(exc):
+            raise
+        message = f"a result number exceeds the limit of {polynomial._DIGIT_LIMIT} digits"
+        _emit_error("precondition_violation", message)
+        return EXIT_PRECONDITION
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as handle:

@@ -18,6 +18,7 @@ import itertools
 import math
 from functools import cached_property
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from . import linalg
@@ -211,35 +212,28 @@ class WeightDecomposition(_Frozen):
     _fields = ("S", "lineality", "lineality_coefficients", "rays", "ray_coefficients")
 
     def reconstruct(self) -> tuple[Fraction, ...]:
-        n = len(self.lineality.v_f)
-        out = [Fraction(0)] * n
-        for coeff, row in zip(self.lineality_coefficients, self.lineality.rows):
-            for j in range(n):
-                out[j] += coeff * row[j]
-        for coeff, ray in zip(self.ray_coefficients, self.rays):
-            for j in range(n):
-                out[j] += coeff * ray.w[j]
-        return tuple(out)
+        rows = (*self.lineality.rows, *(ray.w for ray in self.rays))
+        coeffs = (*self.lineality_coefficients, *self.ray_coefficients)
+        return tuple(sum(map(mul, coeffs, column), Fraction(0)) for column in zip(*rows))
 
 
 def decompose_weight(f: SparsePolynomial, weight: Sequence) -> WeightDecomposition:
     """Split a weight into lineality part plus positive ray combination.
 
-    Subtracting (top - product_i)/degree_i times ray i for every term i
-    outside the argmax set leaves a vector weighting all terms equally, which
-    is then expressed in the lineality basis by an exact linear solve.
+    The weight lies in C_S, for S the terms maximising its inner products,
+    so one exact solve over the lineality rows and the rays of C_S together
+    gives every coefficient.  The solution is unique, as the rows are
+    independent: dotted with an exponent a_j, v_f reads lcm(degrees), the
+    kernel rows read 0 and ray i reads -deg_i if i = j, else 0.  So a
+    relation among the rows has coefficient 0 on v_f (take j in S), then on
+    each ray j (j outside S), and is left within the kernel basis.  Ray j's
+    coefficient reads (top - product_j)/deg_j, positive as j is outside S.
     """
     w = weight_vector(weight, f.n)
-    products, top = weighted_degrees(f, w)
-    c = cone(f, (i + 1 for i, p in enumerate(products) if p == top))
-    ray_coeffs = []
-    residual = list(w)
-    for ray in c.rays:
-        lam = Fraction(top - products[ray.i - 1], total_degree(f.term(ray.i).exponent))
-        ray_coeffs.append(lam)
-        for j in range(f.n):
-            residual[j] -= lam * ray.w[j]
-    coeffs = linalg.solve_unique(list(zip(*c.lineality.rows)), residual)
+    c = cone(f, classify_weight(f, w))
+    rows = (*c.lineality.rows, *(ray.w for ray in c.rays))
+    coeffs = linalg.solve_unique(list(zip(*rows)), w)
     if coeffs is None:
         raise PreconditionError("weight does not decompose; input violates contract")
-    return WeightDecomposition(c.S, c.lineality, coeffs, c.rays, tuple(ray_coeffs))
+    split = c.lineality.dim
+    return WeightDecomposition(c.S, c.lineality, coeffs[:split], c.rays, coeffs[split:])

@@ -129,17 +129,20 @@ def lattice_points(p: LatticePolytope) -> list[Exponent]:
 
 
 class MinkowskiReport(_Frozen):
-    """Lattice-point census certifying (or refuting) decomposition triviality.
+    """Lattice-point census of a simplex.
 
-    A simplex whose only lattice points are its vertices splits only as
-    {origin} + itself; any non-vertex lattice point is reported as evidence
-    to the contrary.
+    trivial_only means that the only lattice points are the vertices, which
+    the non-vertex points, when there are any, refute.  It does not decide
+    decomposition triviality: the triangle of 1 + x + x*y^3 holds (1, 1)
+    and (1, 2), yet splits only trivially.
     """
 
     _fields = ("trivial_only", "census", "non_vertex_points")
 
 
 def minkowski_decomposition_witness(p: LatticePolytope) -> MinkowskiReport:
+    """The census of a simplex, and whether its only lattice points are the
+    vertices; a polytope that is not a simplex raises."""
     if not is_simplex(p):
         raise PreconditionError("minkowski witness requires a simplex")
     census = tuple(lattice_points(p))

@@ -25,7 +25,6 @@ from .polynomial import (
     SparsePolynomial,
     _exact_ints,
     _Frozen,
-    _term_subset,
     canonical_point,
     canonical_points,
     graded_lex_key,
@@ -55,10 +54,9 @@ class ValuationMatrix(_Frozen):
 
 
 def valuation_matrix(f: SparsePolynomial, subset: Iterable[int]) -> ValuationMatrix:
-    s = _term_subset(f, subset)
-    if len(s) != 2:
+    c = cone(f, subset)
+    if len(c.S) != 2:
         raise PreconditionError("the subset S must have exactly two elements")
-    c = cone(f, s)
     return ValuationMatrix(c.S, (*c.lineality.rows, *(ray.w for ray in c.rays)))
 
 

@@ -371,6 +371,51 @@ def test_project_reads_each_points_file_value_exactly(capsys, tmp_path):
         assert error["code"] == "validation_error" and error["message"].startswith("--points:")
 
 
+def test_points_file_floats_are_read_as_their_decimal_text(capsys, tmp_path):
+    path = tmp_path / "points.json"
+    # a double would print 12345678901234567000, and 1e400 would overflow to inf
+    path.write_text("[[12345678901234567890.5, 0], [0, 1], [1e400, 0]]")
+    code, out, err = run_cli(capsys, ["project", "--points", str(path), "--rows", "1,0;0,1"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["points"] == [["24691357802469135781/2", 0], [0, 1], [10**400, 0]]
+
+
+A, B = 10**2200 + 1, 10**2200 + 3  # coprime, so the homogeneity vector holds A*B: 4401 digits
+NINES = "9" * 3000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["matrix", f"x^{A}+y^{B}+z", "--vars", "x,y,z", "--S", "1,2"],
+        ["trop", f"x^{A}+y^{B}+z", "--vars", "x,y,z"],
+        # the one point is 1000 times 4299 nines
+        ["graded", "--eq-rows", "1/1000", "--eq-targets", "9" * 4299, "--dim", "1"],
+        # the coefficient NINES^2 is written inside the handler, by to_string
+        ["faces", f"{NINES}*{NINES}*x+y", "--vars", "x,y"],
+    ],
+    ids=["matrix", "trop", "graded", "faces"],
+)
+def test_a_result_number_past_the_digit_limit_is_a_precondition_error(capsys, argv):
+    for fmt in ("json", "table"):
+        code, out, err = run_cli(capsys, [*argv, "--format", fmt])
+        assert code == 3 and out == "" and err.count("\n") == 1
+        assert json.loads(err)["error"] == {
+            "code": "precondition_violation",
+            "message": "a result number exceeds the limit of 4300 digits",
+        }
+
+
+def test_any_other_value_error_is_not_an_exit_code(monkeypatch):
+    # a ValueError that the library did not name is a bug, so it propagates
+    def broken(f):
+        raise ValueError("not a digit-limit error")
+
+    monkeypatch.setattr(cli, "is_well_poised", broken)
+    with pytest.raises(ValueError, match="not a digit-limit error"):
+        cli.run(["check", "x", "--vars", "x"])
+
+
 def test_output_is_deterministic(capsys):
     argv = ["trop", "x+y^2+z*w", "--vars", "x,y,z,w"]
     _, first, _ = run_cli(capsys, argv)
@@ -409,8 +454,9 @@ def test_table_format_smoke(capsys):
     assert "well_poised: True" in out
 
 
-# The --format table text of three documents: rational points and a null
-# area, a flat weight vector, and an integer matrix.
+# The --format table text of six documents: rational points and a null
+# area, a flat weight vector, an integer matrix, a nested witness, a nested
+# census, and a list of faces, with a blank line after each face but the last.
 TABLES = {
     "nok": (
         ["nok", "x+y^2+z*w", "--vars", "x,y,z,w", "--S", "2,3", "--degree", "2,1,1,1"],
@@ -454,6 +500,68 @@ exponents:
   [2  0  0  2  0]
 """,
     ),
+    "check": (
+        ["check", "x*y+y*z", "--vars", "x,y,z"],
+        """\
+schema_version: 1
+well_poised: False
+monomial: False
+witness:
+  shared_variable: y
+  terms: [1, 2]
+""",
+    ),
+    "polytope": (
+        ["polytope", "x^2+y^3", "--vars", "x,y", "--minkowski"],
+        """\
+schema_version: 1
+n: 2
+vertices:
+  [2  0]
+  [0  3]
+simplex: True
+minkowski:
+  trivial_only: True
+  census:
+    [2  0]
+    [0  3]
+  non_vertex_points: []
+""",
+    ),
+    "faces": (
+        ["faces", "x+y^2+z*w", "--vars", "x,y,z,w"],
+        """\
+schema_version: 1
+faces:
+  S: [1]
+  weight: [0, -1, -1, -1]
+  initial_form: x
+
+  S: [2]
+  weight: [-1, 0, -1, -1]
+  initial_form: y^2
+
+  S: [3]
+  weight: [-1, -1, 0, 0]
+  initial_form: z*w
+
+  S: [1, 2]
+  weight: [0, 0, -1, -1]
+  initial_form: x + y^2
+
+  S: [1, 3]
+  weight: [0, -1, 0, 0]
+  initial_form: x + z*w
+
+  S: [2, 3]
+  weight: [-1, 0, 0, 0]
+  initial_form: y^2 + z*w
+
+  S: [1, 2, 3]
+  weight: [0, 0, 0, 0]
+  initial_form: x + y^2 + z*w
+""",
+    ),
 }
 
 
@@ -485,6 +593,11 @@ def test_validation_error_exit_code(capsys, tmp_path):
     long_points.write_text(f"[[{'1' * 5000}, 0], [0, 1]]", encoding="utf-8")
     latin1_points = tmp_path / "latin1.json"
     latin1_points.write_bytes(b"[[1, 0], [0, 1]] \xff")
+    flat_points, no_points = tmp_path / "flat.json", tmp_path / "none.json"
+    flat_points.write_text("[1, 0]")
+    no_points.write_text("[]")
+    deep_points = tmp_path / "deep.json"  # deeper than the JSON reader recurses
+    deep_points.write_text("[" * 100000 + "]" * 100000)
     for argv in (
         # each leaves out an option its command cannot run without
         ["check", "x"],
@@ -495,6 +608,11 @@ def test_validation_error_exit_code(capsys, tmp_path):
         ["check", "x", "--vars", "x", "--output", unwritable],
         ["project", "--points", str(long_points), "--rows", "1,0;0,1"],
         ["project", "--points", str(latin1_points), "--rows", "1,0;0,1"],
+        # a points file that cannot be read, holds no list of lists, or no point
+        ["project", "--points", str(tmp_path / "absent.json"), "--rows", "1,0;0,1"],
+        ["project", "--points", str(flat_points), "--rows", "1,0;0,1"],
+        ["project", "--points", str(no_points), "--rows", "1,0;0,1"],
+        ["project", "--points", str(deep_points), "--rows", "1,0;0,1"],
     ):
         code, out, err = run_cli(capsys, argv)
         assert code == 2 and out == ""

@@ -228,6 +228,12 @@ def test_in_convex_hull_rejects_mismatched_lengths(point, generators):
         in_convex_hull(point, generators)
 
 
+def test_no_points_make_no_polytope_and_hold_no_point():
+    with pytest.raises(PreconditionError, match="at least one point"):
+        LatticePolytope.from_points([])
+    assert in_convex_hull((0, 0), []) is False
+
+
 def test_contains_rejects_a_point_of_another_dimension():
     triangle = LatticePolytope.from_points([(0, 0), (2, 0), (0, 2)])
     with pytest.raises(PreconditionError):

@@ -611,6 +611,13 @@ def test_projected_body_needs_a_row():
         projected_body([(1, 2), (3, 4)], [])
 
 
+def test_empty_point_and_constraint_lists_are_refused():
+    with pytest.raises(PreconditionError, match="projection needs at least one point"):
+        projected_body([], [(1, 0)])
+    with pytest.raises(PreconditionError, match="at least one constraint row"):
+        graded_component([], 2)
+
+
 def test_planar_bodies_match_their_hulls():
     # one hull pass with boundary points gives the vertex cycle and the area
     rng = random.Random(97)

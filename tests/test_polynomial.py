@@ -116,6 +116,7 @@ def test_printer_round_trip_examples():
     ]:
         f = parse(text, names)
         assert parse(to_string(f), names) == f
+        assert str(f) == to_string(f)
 
 
 def test_printer_round_trip_random():
@@ -309,12 +310,16 @@ def test_term_rejects_zero_coefficient_and_negative_exponent():
         (((1, 0), (1, 0)), ("x", "y"), "canonically ordered"),
         (((1, 0), (0, 1)), ("x", "x"), "distinct variable names"),
         (((1, 0), (1,)), ("x", "y"), "exponent length"),
+        ((), ("x", "y"), "at least one term"),
+        ((), (), "variable count must be positive"),
     ],
-    ids=["unsorted", "duplicate", "repeated-name", "short-exponent"],
+    ids=["unsorted", "duplicate", "repeated-name", "short-exponent", "no-term", "no-variable"],
 )
 def test_sparse_polynomial_checks_its_terms(terms, variables, message):
     with pytest.raises(ValueError, match=message):
-        SparsePolynomial(n=2, terms=tuple(Term(1, e) for e in terms), variables=variables)
+        SparsePolynomial(
+            n=len(variables), terms=tuple(Term(1, e) for e in terms), variables=variables
+        )
 
 
 def test_from_terms_reads_text_coefficients_and_list_exponents():
