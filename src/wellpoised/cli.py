@@ -215,6 +215,8 @@ def _cmd_nok(args) -> dict:
 
     f = _polynomial(args)
     if args.cone_row is not None:
+        if args.S is not None or args.degree is not None:
+            raise UsageError("--cone-row excludes --S and --degree")
         row = _parse_vector(args.cone_row, "--cone-row", f.n)
         return {"extra_row": row, "generators": okounkov.global_nok_cone(f, row)}
     if args.S is None or args.degree is None:
@@ -295,7 +297,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, _cmd_nok)
     p.add_argument("--S", help="two 1-based term indices")
     p.add_argument("--degree", help="positive integer grading, e.g. '2,1,1,1'")
-    p.add_argument("--cone-row", dest="cone_row", help="extra row for the global cone")
+    p.add_argument(
+        "--cone-row",
+        dest="cone_row",
+        help="extra row for the global cone; excludes --S and --degree",
+    )
 
     p = sub.add_parser("graded", help="enumerate a graded component exactly")
     common(p, _cmd_graded, polynomial=False)

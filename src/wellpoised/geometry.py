@@ -30,7 +30,7 @@ from .polynomial import (
     _Frozen,
     canonical_point,
     canonical_points,
-    graded_lex_key,
+    graded_lex_sorted,
 )
 
 Point = tuple
@@ -64,7 +64,7 @@ class LatticePolytope(_Frozen):
     def from_points(cls, points: Iterable[Sequence]) -> "LatticePolytope":
         """The polytope conv(points): a point is a vertex exactly when the
         facets through it meet in no other point."""
-        pts = sorted(set(canonical_points(points)), key=graded_lex_key)
+        pts = graded_lex_sorted(set(canonical_points(points)))
         if not pts:
             raise PreconditionError("a polytope needs at least one point")
         n = len(pts[0])
@@ -106,26 +106,50 @@ def is_simplex(p: LatticePolytope) -> bool:
     return len(p.vertices) == p.n - len(p.equations) + 1
 
 
+def _facets_to_test(p: LatticePolytope, bounds: Sequence[tuple[int, int]]) -> list[Row]:
+    """The facets of p that the box of integer bounds on its coordinates
+    leaves undecided.
+
+    A facet that holds at every point of the box is decided, and this
+    cheap test goes first.  So is a facet with, for some coordinate j that
+    varies over the vertices, every vertex on it at the low end lo_j of
+    x_j, or every one at the high end hi_j: x_j = lo_j then cuts the affine
+    hull in the facet's hyperplane, so on the hull the facet reads
+    x_j >= lo_j (or x_j <= hi_j), which the box enforces.
+    """
+    verts = p.vertices
+    columns = list(zip(*verts))
+    lows, highs = list(map(min, columns)), list(map(max, columns))
+    undecided = []
+    for f in p.facets:
+        if sum(min(a * lo, a * hi) for a, (lo, hi) in zip(f, bounds)) + f[-1] >= 0:
+            continue
+        on = [v for v in verts if sum(map(mul, f, v)) + f[-1] == 0]
+        # lo <= c <= hi, so max(c) == lo says that every entry is lo
+        if not any(
+            lo < hi and (max(c) == lo or min(c) == hi)
+            for c, lo, hi in zip(zip(*on), lows, highs)
+        ):
+            undecided.append(f)
+    return undecided
+
+
 def lattice_points(p: LatticePolytope) -> list[Exponent]:
     """All integer points of the polytope, in graded-lex order.
 
     The integer-point kernel solves the affine-hull equations inside the
-    bounding box of the vertices, and the facet inequalities keep the points
-    of the polytope: one path for simplices and for every other polytope.
-    A facet that holds at every point of the box rejects no candidate, so it
-    is dropped first; a coordinate simplex keeps none.
+    bounding box of the vertices, and the facet inequalities that the box
+    leaves undecided (``_facets_to_test``) keep the points of the polytope:
+    one path for simplices and for every other polytope.  A coordinate
+    simplex, such as the Newton polytope of x^2 + y^3 + z^5, tests none.
     """
     eqs = p.equations
     bounds = [(math.ceil(min(c)), math.floor(max(c))) for c in zip(*p.vertices)]
-    facets = [
-        f
-        for f in p.facets
-        if sum(min(a * lo, a * hi) for a, (lo, hi) in zip(f, bounds)) + f[-1] < 0
-    ]
+    facets = _facets_to_test(p, bounds)
     points = linalg.integer_points([e[:-1] for e in eqs], [-e[-1] for e in eqs], bounds)
     if facets:
         points = (pt for pt in points if all(sum(map(mul, f, pt)) + f[-1] >= 0 for f in facets))
-    return sorted(points, key=graded_lex_key)
+    return graded_lex_sorted(points)
 
 
 class MinkowskiReport(_Frozen):

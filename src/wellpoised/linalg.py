@@ -102,8 +102,10 @@ def double_description(
     f . v >= 0 for every vector, one per facet of the cone within that span.
     Each vector is scaled to integers by the lcm of its denominators, and one
     echelon of [V | I], with the vectors as the columns of V, starts the
-    search.  Its rows past the rank of V vanish on every vector: their right
-    halves are the equations.  Its pivot rows' right halves are each positive
+    search: its row r is row r of the transpose of the scaled vectors
+    joined to the r-th unit row, and the unit rows are made once per call.
+    Its rows past the rank of V vanish on every vector: their right halves
+    are the equations.  Its pivot rows' right halves are each positive
     on one pivot vector and zero on the others: the facets of the simplicial
     cone on the first linearly independent vectors.  The other vectors join
     one at a time by double description (Motzkin, Raiffa, Thompson and
@@ -116,9 +118,8 @@ def double_description(
     """
     vs = [_integer_row(v) for v in vectors]
     k, width = len(vs), len(vs[0]) if vs else 0
-    reduced, pivots = echelon(
-        [[*(v[r] for v in vs), *(int(r == c) for c in range(width))] for r in range(width)]
-    )
+    units = [(0,) * r + (1,) + (0,) * (width - r - 1) for r in range(width)]
+    reduced, pivots = echelon([row + unit for row, unit in zip(zip(*vs), units)])
     rank = sum(c < k for c in pivots)
     spanned = sum(1 << j for j in pivots[:rank])
     rays = [(row[k:], spanned & ~(1 << j)) for row, j in zip(reduced, pivots[:rank])]

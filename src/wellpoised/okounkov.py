@@ -27,7 +27,7 @@ from .polynomial import (
     _Frozen,
     canonical_point,
     canonical_points,
-    graded_lex_key,
+    graded_lex_sorted,
 )
 
 Point = tuple
@@ -89,7 +89,7 @@ def minimal_semigroup_generators(vectors: Iterable[Sequence]) -> tuple[Point, ..
     generators h with integers c_h >= 0; phi bounds each c_h, and the
     integer-point kernel stops at the first such c.
     """
-    gens = sorted(set(canonical_points(vectors)), key=graded_lex_key)
+    gens = graded_lex_sorted(set(canonical_points(vectors)))
     # with no generators the sum of no facets is (): no functional either
     phi = _positive_functional(gens, linalg.double_description(gens)[1])
     if not phi:
@@ -233,7 +233,7 @@ def _nonnegative_polyhedron(rows: Sequence[Point], targets: Point) -> tuple[list
             vertices.append(tuple(Fraction(x, s) if x % s else x // s for x in a))
         else:
             rays.append(linalg.primitive_integer(a))
-    return sorted(vertices, key=graded_lex_key), rays
+    return graded_lex_sorted(vertices), rays
 
 
 def graded_component(constraints: Sequence[Constraint], n: int) -> list[Exponent]:
@@ -255,7 +255,7 @@ def graded_component(constraints: Sequence[Constraint], n: int) -> list[Exponent
               for j in range(n)]
     points = linalg.integer_points(rows, targets, bounds)
     if not rays:
-        return sorted(points, key=graded_lex_key)
+        return graded_lex_sorted(points)
     if next(points, None) is not None:
         raise PreconditionError("the graded component is infinite")
     return []

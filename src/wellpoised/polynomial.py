@@ -88,9 +88,17 @@ def graded_lex_key(vector: Sequence) -> tuple:
     """Canonical sort key: total degree first, larger-in-lex first within a degree.
 
     This ordering numbers the terms of every worked example the way their
-    standard presentations do (e.g. x before y^2 before z*w).
+    standard presentations do (e.g. x before y^2 before z*w).  To sort a
+    list of vectors in this order, use ``graded_lex_sorted``.
     """
     return (sum(vector), tuple(map(neg, vector)))
+
+
+def graded_lex_sorted(vectors: Iterable[Sequence]) -> list:
+    """The vectors in ``graded_lex_key`` order, by two sorts that run in C:
+    lex-descending, then stably by total degree.  On distinct vectors of one
+    length this is exactly the order that sorting by that key gives."""
+    return sorted(sorted(vectors, reverse=True), key=sum)
 
 
 def support(exponent: Sequence[int]) -> tuple[int, ...]:
@@ -225,8 +233,7 @@ class SparsePolynomial(_Frozen):
         exps = [t.exponent for t in terms]
         if any(len(e) != n for e in exps):
             raise ValueError("exponent length differs from ambient dimension")
-        keys = [graded_lex_key(e) for e in exps]
-        if any(a >= b for a, b in zip(keys, keys[1:])):
+        if exps != graded_lex_sorted(exps) or len(set(exps)) < len(exps):
             raise ValueError("terms must be distinct and canonically ordered")
         d = self.__dict__
         d["n"], d["terms"], d["variables"] = n, terms, variables
@@ -255,7 +262,7 @@ class SparsePolynomial(_Frozen):
         names = tuple(variables) if variables is not None else tuple(
             f"x{j + 1}" for j in range(n)
         )
-        ordered = sorted(merged, key=graded_lex_key)
+        ordered = graded_lex_sorted(merged)
         return cls(n=n, terms=tuple(Term(merged[e], e) for e in ordered), variables=names)
 
     @property

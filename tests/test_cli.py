@@ -256,6 +256,17 @@ def test_nok_body_and_cone(capsys):
     assert_document(out, {"extra_row": [1, 1, 1, 0, 0], "generators": generators})
 
 
+def test_nok_cone_row_excludes_the_body_options(capsys):
+    base = ["nok", "x+y^2+z*w", "--vars", "x,y,z,w", "--cone-row", "1,1,1,1"]
+    for extra in (["--S", "2,3"], ["--degree", "2,1,1,1"], ["--S", "2,3", "--degree", "2,1,1,1"]):
+        code, out, err = run_cli(capsys, [*base, *extra])
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert json.loads(err)["error"] == {
+            "code": "validation_error",
+            "message": "--cone-row excludes --S and --degree",
+        }, extra
+
+
 def test_graded_component(capsys):
     argv = [
         "graded", "--eq-rows", "2,1,1,1;0,0,1,-1", "--eq-targets", "2,0", "--dim", "4",

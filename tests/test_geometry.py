@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from wellpoised import (
     parse,
     shoelace_area,
 )
-from wellpoised import cli, linalg
+from wellpoised import cli, geometry, linalg
 from wellpoised.polynomial import graded_lex_key
 from oracles import (
     facets_by_subsets,
@@ -139,6 +140,50 @@ def test_lattice_points_non_simplex_square():
     expected = [pt for pt in box if in_hull_caratheodory(pt, parallelogram.vertices)]
     assert sorted(lattice_points(parallelogram)) == sorted(expected)
     assert len(expected) == 6
+
+
+def _box(p):
+    return [(math.ceil(min(c)), math.floor(max(c))) for c in zip(*p.vertices)]
+
+
+def test_coordinate_simplices_test_no_facet():
+    # each facet of x^a + y^b + z^c + w^d is x_j >= 0 on the hull sum x_j / a_j = 1,
+    # though the double description writes it through the hull equation
+    rng = random.Random(79)
+    exponents = [(2, 3, 5)] + [tuple(rng.randint(2, 9) for _ in range(4)) for _ in range(40)]
+    for exps in exponents:
+        names = XYZW[: len(exps)]
+        p = newton_polytope(parse("+".join(f"{v}^{e}" for v, e in zip(names, exps)), names))
+        assert p.equations and len(p.facets) == len(exps)
+        assert geometry._facets_to_test(p, _box(p)) == [], exps
+
+
+def test_a_facet_is_not_decided_by_a_constant_coordinate():
+    # in the plane z = 3 every vertex on the edge x + y <= 2 has z at its low
+    # and at its high end, which are equal: that edge is still tested
+    p = LatticePolytope.from_points([(0, 0, 3), (2, 0, 3), (0, 2, 3)])
+    (kept,) = geometry._facets_to_test(p, _box(p))
+    assert sum(map(operator.mul, kept, (1, 0, 3))) + kept[-1] > 0
+    assert sum(map(operator.mul, kept, (2, 1, 3))) + kept[-1] < 0
+    assert lattice_points(p) == [(0, 0, 3), (1, 0, 3), (0, 1, 3), (2, 0, 3), (1, 1, 3), (0, 2, 3)]
+
+
+def test_every_facet_left_untested_holds_on_the_box_and_the_hull():
+    rng = random.Random(83)
+    dropped = 0
+    for n, cloud in _clouds(rng):
+        p = LatticePolytope.from_points(cloud)
+        bounds = _box(p)
+        kept = geometry._facets_to_test(p, bounds)
+        box = itertools.product(*(range(lo, hi + 1) for lo, hi in bounds))
+        on_hull = [
+            x for x in box if all(sum(map(operator.mul, e, x)) + e[-1] == 0 for e in p.equations)
+        ]
+        for f in p.facets:
+            if f not in kept:
+                assert all(sum(map(operator.mul, f, x)) + f[-1] >= 0 for x in on_hull), (cloud, f)
+                dropped += 1
+    assert dropped >= 50
 
 
 def test_faces_count_and_weights():

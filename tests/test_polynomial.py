@@ -1,3 +1,4 @@
+import pathlib
 import random
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from wellpoised import (
     to_string,
 )
 from wellpoised.fan import lineality_basis
-from wellpoised.polynomial import weighted_degrees
+from wellpoised.polynomial import graded_lex_key, graded_lex_sorted, weighted_degrees
 from oracles import (
     inject_shared_variable,
     parse_by_chunks,
@@ -308,18 +309,42 @@ def test_term_rejects_zero_coefficient_and_negative_exponent():
     [
         (((0, 1), (1, 0)), ("x", "y"), "canonically ordered"),
         (((1, 0), (1, 0)), ("x", "y"), "canonically ordered"),
+        (((2, 0), (1, 0)), ("x", "y"), "^terms must be distinct and canonically ordered$"),
+        (((1, 0), (1, 0), (0, 1)), ("x", "y"), "^terms must be distinct and canonically ordered$"),
+        (((1, 0), (0, 1), (1, 0)), ("x", "y"), "^terms must be distinct and canonically ordered$"),
         (((1, 0), (0, 1)), ("x", "x"), "distinct variable names"),
         (((1, 0), (1,)), ("x", "y"), "exponent length"),
         ((), ("x", "y"), "at least one term"),
         ((), (), "variable count must be positive"),
     ],
-    ids=["unsorted", "duplicate", "repeated-name", "short-exponent", "no-term", "no-variable"],
+    ids=[
+        "unsorted", "duplicate", "degree-falls", "duplicate-then-more", "apart-duplicate",
+        "repeated-name", "short-exponent", "no-term", "no-variable",
+    ],
 )
 def test_sparse_polynomial_checks_its_terms(terms, variables, message):
     with pytest.raises(ValueError, match=message):
         SparsePolynomial(
             n=len(variables), terms=tuple(Term(1, e) for e in terms), variables=variables
         )
+
+
+numbers = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=4))
+
+
+@given(
+    st.integers(0, 4).flatmap(
+        lambda n: st.lists(st.tuples(*[numbers] * n), unique=True, max_size=12)
+    )
+)
+def test_graded_lex_sorted_is_the_key_sort(vectors):
+    assert graded_lex_sorted(vectors) == sorted(vectors, key=graded_lex_key)
+
+
+def test_no_source_module_sorts_by_the_key():
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "wellpoised"
+    for module in package.glob("*.py"):
+        assert "key=graded_lex_key" not in module.read_text(encoding="utf-8"), module.name
 
 
 def test_from_terms_reads_text_coefficients_and_list_exponents():
