@@ -10,8 +10,9 @@ values, with its keys in a fixed order.  ``trop`` reads the fan's sweep of
 the term subsets itself, so it builds no cone object only to read it back.
 ``run`` puts ``schema_version`` first and prints the document with
 ``serialize.dumps`` (or as a human table with --format table).  Exit
-status: 0 on success, 2 for input or validation errors, 3 for violated
-operation preconditions and for a result number past int()'s digit limit.
+status: 0 on success, 2 for input or validation errors (options that
+exclude each other included), 3 for violated operation preconditions and
+for a result number past int()'s digit limit.
 Errors are reported as one-line JSON documents on standard error.
 
 ``run`` builds the parser once per process.  When the first argument names
@@ -112,13 +113,12 @@ def _polynomial(args) -> SparsePolynomial:
     return parse(args.polynomial, names)
 
 
-def _constraints(args) -> tuple[list, int]:
+def _constraints(args) -> tuple[list, tuple, int]:
     if args.eq_rows is None or args.eq_targets is None or args.dim is None:
         raise UsageError("--eq-rows, --eq-targets and --dim are required together")
     (n,) = _read([args.dim], "--dim", polynomial._exact_ints)
     rows = _parse_rows(args.eq_rows, "--eq-rows", n)
-    targets = _parse_vector(args.eq_targets, "--eq-targets", len(rows))
-    return list(zip(rows, targets)), n
+    return rows, _parse_vector(args.eq_targets, "--eq-targets", len(rows)), n
 
 
 def _cmd_check(args) -> dict:
@@ -231,8 +231,8 @@ def _cmd_nok(args) -> dict:
 def _cmd_graded(args) -> dict:
     from . import okounkov
 
-    constraints, n = _constraints(args)
-    component = okounkov.graded_component(constraints, n)
+    rows, targets, n = _constraints(args)
+    component = okounkov.graded_component(list(zip(rows, targets)), n)
     return {
         "n": n,
         "count": len(component),
@@ -243,19 +243,18 @@ def _cmd_graded(args) -> dict:
 def _cmd_project(args) -> dict:
     from . import okounkov
 
-    rows = _parse_rows(args.rows, "--rows")
     if args.points is not None:
+        if args.eq_rows is not None or args.eq_targets is not None or args.dim is not None:
+            raise UsageError("--points excludes --eq-rows, --eq-targets and --dim")
         points = _load_points(args.points)
     else:
-        constraints, n = _constraints(args)
-        points, rays = okounkov._nonnegative_polyhedron(
-            *okounkov._split_constraints(constraints, n)
-        )
+        rows, targets, _ = _constraints(args)
+        points, rays = okounkov._nonnegative_polyhedron(rows, targets)
         if not points:
             raise PreconditionError("the equality polytope is empty")
         if rays:
             raise PreconditionError("the equality polytope is unbounded")
-    rows = _read(rows, "--rows", polynomial.canonical_points, len(points[0]))
+    rows = _parse_rows(args.rows, "--rows", len(points[0]))
     return _body(okounkov.projected_body(points, rows))
 
 
@@ -311,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("project", help="project polytope vertices to a planar body")
     common(p, _cmd_project, polynomial=False)
-    p.add_argument("--points", help="JSON file with a list of points")
+    p.add_argument("--points", help="JSON file of points; excludes --eq-rows, --eq-targets, --dim")
     p.add_argument("--rows", required=True, help="projection rows 'a,b,...;c,d,...'")
     p.add_argument("--eq-rows", dest="eq_rows", help="equality rows defining P")
     p.add_argument("--eq-targets", dest="eq_targets", help="equality targets")

@@ -83,10 +83,8 @@ class LinealityBasis(_Frozen):
 def lineality_basis(f: SparsePolynomial) -> LinealityBasis:
     v_f = homogeneity_vector(f)  # first: it rejects the constant term the loop cannot take
     kernel: list[IntVector] = []
-    used: set[int] = set()
     for term in f.terms:
         supp = term.support
-        used.update(supp)
         first = supp[0]
         for j in supp[1:]:
             vec = [0] * f.n
@@ -94,7 +92,7 @@ def lineality_basis(f: SparsePolynomial) -> LinealityBasis:
             vec[j] = -term.exponent[first]
             kernel.append(linalg.primitive_integer(vec))
     for c in range(f.n):
-        if c not in used:
+        if not v_f[c]:  # lcm(degrees) // deg >= 1 on each term's support, 0 off all of them
             unit = [0] * f.n
             unit[c] = 1
             kernel.append(tuple(unit))
@@ -222,18 +220,17 @@ def decompose_weight(f: SparsePolynomial, weight: Sequence) -> WeightDecompositi
 
     The weight lies in C_S, for S the terms maximising its inner products,
     so one exact solve over the lineality rows and the rays of C_S together
-    gives every coefficient.  The solution is unique, as the rows are
-    independent: dotted with an exponent a_j, v_f reads lcm(degrees), the
+    gives every coefficient.  The solution exists and is unique, as the rows
+    are independent: dotted with an exponent a_j, v_f reads lcm(degrees), the
     kernel rows read 0 and ray i reads -deg_i if i = j, else 0.  So a
     relation among the rows has coefficient 0 on v_f (take j in S), then on
     each ray j (j outside S), and is left within the kernel basis.  Ray j's
     coefficient reads (top - product_j)/deg_j, positive as j is outside S.
+    This argument is the guarantee; the solve's result is not checked again.
     """
     w = weight_vector(weight, f.n)
     c = cone(f, classify_weight(f, w))
     rows = (*c.lineality.rows, *(ray.w for ray in c.rays))
     coeffs = linalg.solve_unique(list(zip(*rows)), w)
-    if coeffs is None:
-        raise PreconditionError("weight does not decompose; input violates contract")
     split = c.lineality.dim
     return WeightDecomposition(c.S, c.lineality, coeffs[:split], c.rays, coeffs[split:])

@@ -208,8 +208,8 @@ def _split_constraints(constraints: Sequence[Constraint], n: int) -> tuple[list,
 
 def _nonnegative_polyhedron(rows: Sequence[Point], targets: Point) -> tuple[list, list]:
     """The vertices, in graded-lex order, and the extreme rays of
-    {a >= 0 : R a = t} for the rows R and targets t that
-    ``_split_constraints`` reads: the extreme rays (a, s) of
+    {a >= 0 : R a = t} for rows R and targets t read by ``_split_constraints``
+    or by the command line's option readers: the extreme rays (a, s) of
     C = {(a, s) >= 0 : R a = t s} with s > 0, scaled to s = 1, and with
     s = 0.  One echelon of [R | -t] gives an integer matrix K whose columns
     span its kernel: for each free column f, d e_f minus the sum, over the

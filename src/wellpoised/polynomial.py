@@ -201,9 +201,7 @@ class Term(_Frozen):
     _fields = ("coefficient", "exponent")
 
     def __init__(self, coefficient: Union[int, Fraction, str], exponent: Sequence[int]):
-        if type(coefficient) is int:
-            coefficient = Fraction(coefficient)
-        elif type(coefficient) is not Fraction:
+        if type(coefficient) is not Fraction:
             coefficient = _fraction(coefficient)
         exponent = _exact_ints(exponent)
         if not coefficient.numerator:

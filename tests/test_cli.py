@@ -323,8 +323,38 @@ def test_project_rejects_ragged_points_file(capsys, tmp_path):
     assert error["message"] == "--points: vector 2 has length 3, expected 2"
 
 
-def test_vectors_of_another_length_name_their_option(capsys):
+def test_project_points_exclude_the_equality_options(capsys, tmp_path):
+    path = tmp_path / "points.json"
+    path.write_text("[[0, 0], [1, 0], [0, 1]]")
+    points = ["project", "--points", str(path), "--rows", "1,0;0,1"]
+    eq = ["--eq-rows", "1,1", "--eq-targets", "5", "--dim", "2"]
+    # each equality option, and all three
+    for extra in (eq[0:2], eq[2:4], eq[4:6], eq):
+        code, out, err = run_cli(capsys, [*points, *extra])
+        assert code == 2 and out == "" and err.count("\n") == 1, extra
+        assert json.loads(err)["error"] == {
+            "code": "validation_error",
+            "message": "--points excludes --eq-rows, --eq-targets and --dim",
+        }
+    # either source alone prints its body, byte for byte
+    triangle = [[0, 0], [1, 0], [0, 1]]
+    segment = [[0, 5], [5, 0]]
+    for argv, body in (
+        (points, {"points": triangle, "vertices": triangle, "boundary": triangle, "area": "1/2"}),
+        (
+            ["project", "--rows", "1,0;0,1", *eq],
+            {"points": segment[::-1], "vertices": segment, "boundary": segment, "area": 0},
+        ),
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0 and err == ""
+        assert out == json.dumps({"schema_version": 1, **body}, indent=2) + "\n"
+
+
+def test_vectors_of_another_length_name_their_option(capsys, tmp_path):
     eq = ["--eq-rows", "1,1", "--eq-targets", "1", "--dim", "2"]
+    path = tmp_path / "points.json"
+    path.write_text("[[0, 0], [1, 0], [0, 1]]")
     for option, argv in (
         # a row of another length than --dim, or than the other rows
         ("--eq-rows", ["graded", "--eq-rows", "1,1,1", "--eq-targets", "2", "--dim", "2"]),
@@ -334,6 +364,7 @@ def test_vectors_of_another_length_name_their_option(capsys):
         # projection rows of another length than the points, or than each other
         ("--rows", ["project", "--rows", "1,1,1", *eq]),
         ("--rows", ["project", "--rows", "1,1;1", *eq]),
+        ("--rows", ["project", "--rows", "1,1,1", "--points", str(path)]),
         # a weight or an extra cone row of another length than the variables
         ("--classify", ["trop", "x+y^2+z*w", "--vars", "x,y,z,w", "--classify=1,2,3"]),
         ("--classify", ["trop", "x+y", "--vars", "x,y", "--classify=1,2,3"]),
@@ -344,6 +375,9 @@ def test_vectors_of_another_length_name_their_option(capsys):
         error = json.loads(err)["error"]
         assert error["code"] == "validation_error"
         assert error["message"].startswith(option + ": vector "), argv
+    # the rows are held to the length of the file's points
+    _, _, err = run_cli(capsys, ["project", "--rows", "1,1,1", "--points", str(path)])
+    assert json.loads(err)["error"]["message"] == "--rows: vector 1 has length 3, expected 2"
 
 
 def test_empty_vectors_name_their_option(capsys):

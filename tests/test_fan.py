@@ -94,6 +94,10 @@ def test_lineality_basis_unused_variable():
     assert basis.v_f == (2, 1, 0)
     assert basis.kernel_vectors == ((0, 0, 1),)
     assert basis.dim == 1 + (3 - 2)
+    # a unit for each zero of v_f: one between used variables, and trailing ones in order
+    assert lineality_basis(parse("x + z", ["x", "y", "z"])).kernel_vectors == ((0, 1, 0),)
+    basis = lineality_basis(parse("x + y^2", ["x", "y", "z", "w"]))
+    assert basis.kernel_vectors == ((0, 0, 1, 0), (0, 0, 0, 1))
 
 
 def test_lineality_vectors_are_integral_primitive_and_orthogonal():

@@ -374,6 +374,10 @@ def test_terms_hold_fractions_and_int_tuples():
     assert term == Term(Fraction(2), (1, 0))
     assert type(term.coefficient) is Fraction and type(term.exponent) is tuple
     assert all(type(e) is int for e in term.exponent)
+    # every coefficient that is not a Fraction goes through the one number reader
+    for value in (1, True, " 1 ", "2/2", 1.0, Fraction(1)):
+        coefficient = Term(value, (1,)).coefficient
+        assert type(coefficient) is Fraction and coefficient == 1, value
     f = parse("x - x + y", ["x", "y"])
     assert [(t.coefficient, t.exponent) for t in f.terms] == [(1, (0, 1))]
     assert_types(f)
