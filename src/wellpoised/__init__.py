@@ -19,9 +19,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "fan": (
         "FaceDescriptor", "LinealityBasis", "RayGenerator", "TropicalCone",
-        "WeightDecomposition", "classify_weight", "cone", "decompose_weight", "faces",
-        "homogeneity_vector", "in_tropical_variety", "lineality_basis", "ray_generator",
-        "tropical_variety",
+        "WeightDecomposition", "cone", "decompose_weight", "faces", "homogeneity_vector",
+        "in_tropical_variety", "lineality_basis", "ray_generator", "tropical_variety",
     ),
     "geometry": (
         "LatticePolytope", "MinkowskiReport", "convex_hull_2d", "extreme_points",
@@ -37,9 +36,9 @@ _EXPORTS = {
     "polynomial": (
         "CommonFactorWitness", "ParseError", "PreconditionError",
         "SharedVariableWitness", "SparsePolynomial", "Term", "WellPoisedReport",
-        "exponent_gcd", "graded_lex_key", "initial_form", "is_disjointly_supported",
-        "is_irreducible_binomial", "is_well_poised", "parse", "support", "to_string",
-        "total_degree",
+        "classify_weight", "exponent_gcd", "graded_lex_key", "initial_form",
+        "is_disjointly_supported", "is_irreducible_binomial", "is_well_poised", "parse",
+        "support", "to_string", "total_degree",
     ),
 }
 _LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}

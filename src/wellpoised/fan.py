@@ -28,11 +28,11 @@ from .polynomial import (
     SharedVariableWitness,
     SparsePolynomial,
     _term_subset,
+    classify_weight,
     is_disjointly_supported,
     is_well_poised,
     total_degree,
     weight_vector,
-    weighted_degrees,
 )
 
 IntVector = tuple[int, ...]
@@ -150,12 +150,6 @@ def cone(f: SparsePolynomial, subset: Iterable[int]) -> TropicalCone:
     s = _term_subset(f, subset)
     rays = tuple(ray_generator(f, i) for i in range(1, f.k + 1) if i not in s)
     return TropicalCone(s, lineality_basis(f), rays)
-
-
-def classify_weight(f: SparsePolynomial, weight: Sequence) -> tuple[int, ...]:
-    """The 1-based set of terms whose weight inner product is maximal."""
-    products, top = weighted_degrees(f, weight)
-    return tuple(i + 1 for i, p in enumerate(products) if p == top)
 
 
 def in_tropical_variety(f: SparsePolynomial, weight: Sequence) -> bool:

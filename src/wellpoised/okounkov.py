@@ -2,11 +2,13 @@
 
 For a two-element term subset S the matrix M_S stacks the homogeneity vector,
 the kernel basis vectors, and the rays of the complement of S; its columns
-are the variable valuations and generate the value semigroup.  Dividing each
-column by the degree its variable carries under a positive grading and taking
-the convex hull produces the Newton-Okounkov body.  The module also handles
-graded components, read off the vertices and rays of {a >= 0 : R a = t}, and
-the polygon projections used to reproduce planar bodies exactly.
+are the variable valuations and generate the value semigroup.  Under a
+positive grading d the Newton-Okounkov body is the hull of the columns, each
+over its variable's degree: the image under M_S of the degree-one simplex
+{a >= 0 : d . a = 1}, whose vertices are e_j/d_j, so ``nok_body`` is
+``projected_body`` of that simplex.  The module also handles graded
+components, read off the vertices and rays of {a >= 0 : R a = t}, whose
+projections reproduce planar bodies exactly.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .polynomial import (
     canonical_point,
     canonical_points,
     graded_lex_sorted,
+    weighted_degrees,
 )
 
 Point = tuple
@@ -144,11 +147,10 @@ class Grading(_Frozen):
 
 
 def _check_grading(f: SparsePolynomial, grading) -> Grading:
-    d = grading if isinstance(grading, Grading) else Grading(grading)
+    d = Grading(grading)
     if len(d.entries) != f.n:
         raise PreconditionError("grading length differs from variable count")
-    values = {sum(e * w for e, w in zip(t.exponent, d.entries)) for t in f.terms}
-    if len(values) != 1:
+    if len(set(weighted_degrees(f, d.entries)[0])) != 1:
         raise PreconditionError("polynomial is not homogeneous for this grading")
     return d
 
@@ -165,25 +167,12 @@ class OkounkovBody(_Frozen):
     _fields = ("points", "vertices", "boundary", "area")
 
 
-def _make_body(points: Sequence[Sequence]) -> OkounkovBody:
-    pts = tuple(canonical_point(p) for p in points)
-    ambient = len(pts[0])
-    if ambient == 2:
-        boundary = tuple(convex_hull_2d(pts, keep_boundary=True))
-        vertices = tuple(convex_hull_2d(boundary))
-        return OkounkovBody(pts, vertices, boundary, shoelace_area(boundary))
-    vertices = tuple(extreme_points(pts))
-    return OkounkovBody(pts, vertices, None, None)
-
-
 def nok_body(f: SparsePolynomial, grading, subset: Iterable[int]) -> OkounkovBody:
-    """Hull of the valuation-matrix columns scaled by 1/degree of each variable."""
+    """``projected_body`` of the degree-one simplex by the rows of M_S: its
+    vertices e_j/d_j go to the columns of M_S over d_j, in variable order."""
     d = _check_grading(f, grading)
-    matrix = valuation_matrix(f, subset)
-    points = [
-        tuple(Fraction(x, d[j]) for x in col) for j, col in enumerate(matrix.columns())
-    ]
-    return _make_body(points)
+    simplex = [[Fraction(1, d[j]) if i == j else 0 for i in range(f.n)] for j in range(f.n)]
+    return projected_body(simplex, valuation_matrix(f, subset).rows)
 
 
 def global_nok_cone(
@@ -270,15 +259,22 @@ def equality_polytope_vertices(
 
 
 def projected_body(points: Sequence[Sequence], rows: Sequence[Sequence]) -> OkounkovBody:
-    """Image of a vertex set under the linear map given by the rows, hulled.
-
-    Planar images come back with the canonical boundary cycle and exact area;
-    higher-dimensional images carry hull vertices only.
-    """
+    """Image of a vertex set under the linear map given by the rows, hulled;
+    ``nok_body`` makes its body here too.  Planar images come back with the
+    canonical boundary cycle and exact area, higher-dimensional images with
+    hull vertices only."""
     pts = canonical_points(points)
     if not pts:
         raise PreconditionError("projection needs at least one point")
     proj = canonical_points(rows, len(pts[0]))
     if not proj:
         raise PreconditionError("projection needs at least one row")
-    return _make_body([tuple(sum(map(mul, row, p)) for row in proj) for p in pts])
+    den = math.lcm(*(x.denominator for p in pts for x in p))  # each point is q / den, q integral
+    qs = [[x.numerator * (den // x.denominator) for x in p] for p in pts] if den > 1 else pts
+    image = tuple(tuple(Fraction(s, den) if s % den else s // den
+                        for s in [sum(map(mul, row, q)) for row in proj]) for q in qs)
+    if len(proj) == 2:
+        boundary = tuple(convex_hull_2d(image, keep_boundary=True))
+        vertices = tuple(convex_hull_2d(boundary))
+        return OkounkovBody(image, vertices, boundary, shoelace_area(boundary))
+    return OkounkovBody(image, tuple(extreme_points(image)), None, None)

@@ -117,19 +117,19 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)$")
 def _fraction(value) -> Fraction:
     """Fraction(value), with ValueError naming a value that is not a finite
     number, such as None, inf or "1/0", where Fraction() raises TypeError,
-    OverflowError or ZeroDivisionError.  ASCII digits with at most one sign
-    go to int(), not Fraction's regex.  A string longer than int()'s digit
-    limit, counting its exponent's size, raises ValueError, so Fraction()
-    never builds 10**999999999 from "1e999999999"."""
+    OverflowError or ZeroDivisionError.  A string past int()'s digit limit,
+    counting its exponent's size but not its sign, raises ValueError before
+    it is read, so "1e999999999" never builds 10**999999999 and a long
+    integer gets the same message; ASCII digits then go to int()."""
     try:
         if type(value) is str:
             text = value.strip()
             digits = text[1:] if text[:1] in "+-" else text
+            exponent = len(digits) <= _DIGIT_LIMIT and _EXPONENT.search(digits)
+            if len(digits) + (abs(int(exponent[1])) if exponent else 0) > _DIGIT_LIMIT:
+                raise ValueError(f"number exceeds the limit of {_DIGIT_LIMIT} digits")
             if digits.isascii() and digits.isdigit():
                 return Fraction(int(text))
-            exponent = _EXPONENT.search(text)
-            if len(text) + (abs(int(exponent[1])) if exponent else 0) > _DIGIT_LIMIT:
-                raise ValueError(f"number exceeds the limit of {_DIGIT_LIMIT} digits")
         return Fraction(value)
     except (TypeError, OverflowError, ZeroDivisionError) as exc:
         raise ValueError(f"{value!r} is not a number") from exc
@@ -403,11 +403,15 @@ def weighted_degrees(f: SparsePolynomial, weight: Sequence) -> tuple[list[Fracti
     return [Fraction(p, d) for p in sums], Fraction(max(sums), d)
 
 
-def initial_form(f: SparsePolynomial, weight: Sequence) -> SparsePolynomial:
-    """The sub-sum of terms whose weight inner product is maximal."""
+def classify_weight(f: SparsePolynomial, weight: Sequence) -> tuple[int, ...]:
+    """The 1-based set of terms whose weight inner product is maximal."""
     products, top = weighted_degrees(f, weight)
-    kept = tuple(t for t, p in zip(f.terms, products) if p == top)
-    return SparsePolynomial(n=f.n, terms=kept, variables=f.variables)
+    return tuple(i + 1 for i, p in enumerate(products) if p == top)
+
+
+def initial_form(f: SparsePolynomial, weight: Sequence) -> SparsePolynomial:
+    """The sub-sum f_S of the terms S that ``classify_weight`` names."""
+    return f.restricted_to(classify_weight(f, weight))
 
 
 def is_disjointly_supported(f: SparsePolynomial) -> bool:

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import time
@@ -35,7 +36,7 @@ from wellpoised import (
     valuation_matrix,
     variable_valuations,
 )
-from wellpoised import linalg, okounkov
+from wellpoised import cli, fan, linalg, okounkov, polynomial
 from wellpoised.geometry import extreme_points
 from wellpoised.polynomial import canonical_point, canonical_points
 from oracles import (
@@ -258,6 +259,44 @@ def test_nok_body_rejects_bad_grading():
         nok_body(F, (2, 1, 1), (2, 3))
     with pytest.raises(PreconditionError):
         nok_body(F, (0, 1, 1, 1), (2, 3))
+
+
+def test_nok_body_is_the_projected_degree_one_simplex(capsys):
+    # the simplex {a >= 0 : d . a = 1} comes from double description here, so
+    # the check does not lean on the vertices e_j/d_j that nok_body lists
+    rng = random.Random(34)
+    pairs = planar = 0
+    for _ in range(350):
+        f = random_disjoint_polynomial(rng, force_gcd_one=True)
+        k = rng.randint(1, 3)
+        d = tuple(k * v for v in homogeneity_vector(f))
+        simplex = equality_polytope_vertices([(d, 1)], f.n)
+        for S in itertools.combinations(range(1, f.k + 1), 2):
+            body = nok_body(f, d, S)
+            image = projected_body(simplex, valuation_matrix(f, S).rows)
+            assert (body.vertices, body.boundary, body.area) == (
+                image.vertices, image.boundary, image.area
+            )
+            assert Counter(body.points) == Counter(image.points)
+            pairs += 1
+            planar += body.area is not None
+    assert pairs >= 750 and planar >= 150
+    # the same identity on the command line: nok against project of the rows
+    # that `matrix --S 2,3` prints
+    docs = []
+    for argv in (
+        ["nok", "x+y^2+z*w", "--vars", "x,y,z,w", "--S", "2,3", "--degree", "2,1,1,1"],
+        ["project", "--eq-rows", "2,1,1,1", "--eq-targets", "1", "--dim", "4",
+         "--rows", "2,1,1,1;0,0,1,-1;-1,0,0,0"],
+    ):
+        assert cli.main(argv) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+    assert [{k: doc[k] for k in ("vertices", "boundary", "area")} for doc in docs] == [
+        {"vertices": [[1, -1, 0], [1, 0, "-1/2"], [1, 1, 0]], "boundary": None, "area": None}
+    ] * 2
+    # a Grading is read as the sequence of its entries
+    assert nok_body(F, okounkov.Grading((2, 1, 1, 1)), (2, 3)) == nok_body(F, (2, 1, 1, 1), (2, 3))
+    assert fan.classify_weight is polynomial.classify_weight is classify_weight
 
 
 def test_global_nok_cone():
@@ -635,7 +674,7 @@ def test_planar_bodies_match_their_hulls():
                 for _ in range(size)
             ]
         pts += rng.sample(pts, rng.randint(0, len(pts)))  # duplicates
-        body = okounkov._make_body(pts)
+        body = projected_body(pts, [(1, 0), (0, 1)])
         assert body.vertices == tuple(convex_hull_2d(pts))
         assert body.boundary == tuple(convex_hull_2d(pts, keep_boundary=True))
         expected = triangulation_area(body.vertices) if len(body.vertices) >= 3 else 0

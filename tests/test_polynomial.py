@@ -406,9 +406,22 @@ def test_numeric_strings_stay_within_the_digit_limit():
     # exponent notation is read exactly while the number fits int()'s limit
     assert canonical_point(["2.5e3", "1E-3", "1e4_000"]) == (2500, Fraction(1, 1000), 10**4000)
     # past it, refused before Fraction() builds the number
-    for text in ("1e5000", "1e-5000", "1e999999999", "1." + "1" * 4300):
+    for text in ("1e5000", "1e-5000", "1e999999999", "1." + "1" * 4300, "1" * 4301):
         with pytest.raises(ValueError, match="exceeds the limit of 4300 digits"):
             canonical_point([text])
+
+
+def test_the_digit_limit_is_checked_before_int_reads_the_text():
+    from wellpoised.polynomial import canonical_point
+
+    # a sign is not a digit, as int() counts, so a signed 4,300-digit integer is read
+    for sign in "+-":
+        assert canonical_point([sign + "7" * 4300]) == (int(sign + "7" * 4300),)
+        with pytest.raises(ValueError, match="exceeds the limit of 4300 digits"):
+            canonical_point([sign + "7" * 4301])
+    # an exponent longer than the limit is not handed to int() either
+    with pytest.raises(ValueError, match="exceeds the limit of 4300 digits"):
+        canonical_point(["1e" + "1" * 4301])
 
 
 def test_canonical_point_returns_an_int_tuple_as_it_is():
